@@ -312,16 +312,18 @@ class SimProfile:
     ``perf_counter`` calls per measured section).
     """
 
-    __slots__ = ("fill_s", "fills", "fill_rounds", "advance_s",
-                 "schedule_s", "rebuilds", "heap_s", "calendar_s",
-                 "dispatched")
+    __slots__ = ("fill_s", "fills", "fill_rounds", "fill_flows",
+                 "advance_s", "schedule_s", "rebuilds", "heap_s",
+                 "calendar_s", "dispatched")
 
     def __init__(self) -> None:
-        #: Seconds inside the max-min water-fill solver, and its call
-        #: and round counts.
+        #: Seconds inside the max-min water-fill solvers (reference and
+        #: vectorized), their call and round counts, and the flows
+        #: solved summed over calls — the fills' useful work.
         self.fill_s = 0.0
         self.fills = 0
         self.fill_rounds = 0
+        self.fill_flows = 0
         #: Seconds advancing flow progress (the vectorized sweep).
         self.advance_s = 0.0
         #: Seconds staging + rebuilding the completion calendar.
@@ -339,6 +341,7 @@ class SimProfile:
             "fill_s": self.fill_s,
             "fills": self.fills,
             "fill_rounds": self.fill_rounds,
+            "fill_flows": self.fill_flows,
             "advance_s": self.advance_s,
             "schedule_s": self.schedule_s,
             "rebuilds": self.rebuilds,

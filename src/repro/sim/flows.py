@@ -2,14 +2,16 @@
 
 Every in-flight data transfer is a :class:`Flow` over a *route*: an
 ordered list of ``(resource, direction)`` hops.  Whenever the set of
-active flows changes, the network re-computes each flow's rate with the
+active flows changes, the network re-computes flow rates with the
 classic progressive-filling (water-filling) algorithm, which yields the
 max-min fair allocation subject to every hop's effective capacity.  This
 mirrors how concurrent DMA copy streams share links on real multi-GPU
 machines closely enough to reproduce the paper's parallel-copy results
 (Figures 2-7): flows crossing an uncontended NVSwitch port rate at full
 speed, while flows squeezed through a shared PCIe switch or the AC922's
-X-Bus split its capacity.
+X-Bus split its capacity.  Only the flows connected to a change through
+shared resources are re-solved: the allocation splits exactly over
+connected components, so the result is bit-identical to a global fill.
 
 The network is a *fluid* model: between allocation changes each flow
 progresses linearly at its rate, so completion times can be scheduled
@@ -21,13 +23,18 @@ thousands of flow arrivals (see :mod:`repro.sim.solver`):
 * per-flow hot state (remaining bytes, rate, cap, completion token)
   lives in the parallel NumPy arrays of a :class:`~repro.sim.solver.FlowTable`;
   the :class:`Flow` objects expose it through properties;
-* the max-min fill runs vectorized over those arrays
-  (:func:`~repro.sim.solver.water_fill_arrays`), bit-identical to the
-  retained dict reference;
+* a reallocation re-solves only the connected component(s) the
+  started, finished or aborted flows touch, found by a walk of the
+  membership index; small components take the dict reference solver,
+  large ones the vectorized fill over those arrays
+  (:func:`~repro.sim.solver.water_fill_arrays`), bit-identical to it;
 * progress sweeps advance every flow with one vectorized subtraction —
   all active flows share a single last-advanced timestamp;
 * completions live in the engine's :class:`~repro.sim.engine.ArrayCalendar`:
-  a full reallocation *stages* the whole completion set in O(1) and the
+  every reallocation, however small its component, *stages* the whole
+  completion set (fresh tokens and sequence ids for every active flow,
+  which keeps completion times and event order bit-identical) in O(1)
+  and the
   calendar sorts it once, lazily, so a burst of same-instant starts or
   finishes costs one rebuild instead of N heap storms.  Stale entries
   are invalidated by token, exactly like the previous per-object
@@ -35,9 +42,9 @@ thousands of flow arrivals (see :mod:`repro.sim.solver`):
 
 A Python-dict membership index (packed ``(id(resource) << 1 | direction
 bit)`` key -> arrival-ordered flow dict) is still maintained: the
-observability recorder, the diagnostics in error paths and the retained
-reference solver all read it, and keeping it costs O(route) per
-transition.
+component walk, the observability recorder, the diagnostics in error
+paths and the reference solver all read it, and keeping it costs
+O(route) per transition.
 
 A :class:`~repro.sim.engine.SimulationError` raised mid-fill (zero
 effective capacity) leaves the network's indices consistent but its
@@ -63,12 +70,13 @@ Hop = Tuple[Resource, Direction]
 #: Relative tolerance when deciding a flow has finished.
 _EPSILON_BYTES = 1e-6
 
-#: Active-flow count at or below which a reallocation dispatches to the
-#: dict-walking reference solver instead of the vectorized one.  Each
-#: fill round costs the vectorized solver a flat ~40-60us of NumPy
-#: dispatch but the reference only ~2us per flow, so small fills are
-#: faster in plain Python; both produce bit-identical rates (pinned by
-#: tests/sim/test_solver_properties.py), so the switch is invisible.
+#: Size of the refilled component (in flows) at or below which a
+#: reallocation dispatches to the dict-walking reference solver instead
+#: of the vectorized one.  Each fill round costs the vectorized solver a
+#: flat ~40-60us of NumPy dispatch but the reference only ~2us per
+#: flow, so small fills are faster in plain Python; both produce
+#: bit-identical rates (pinned by tests/sim/test_solver_properties.py),
+#: so the switch is invisible.
 _SMALL_FILL_N = 64
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
@@ -212,7 +220,15 @@ class FlowNetwork:
         #: needs re-reading, so the per-reallocation cost is one flag
         #: test instead of an O(alive keys) Python loop.
         self._faults_dirty = False
+        #: Flows that finished in a sweep no reallocation followed (an
+        #: abort that found its flow already done, or a batch that
+        #: started nothing).  Their neighbours still hold rates computed
+        #: with them present, so the next reallocation re-solves their
+        #: components too.
+        self._unsettled: List[Flow] = []
         #: Allocation statistics (for the ``simcore`` benchmark).
+        #: ``full_reallocations`` counts component refills (each with a
+        #: global restage); the name predates component-local fills.
         self.full_reallocations = 0
         self.fast_starts = 0
         self.fast_finishes = 0
@@ -262,7 +278,7 @@ class FlowNetwork:
         if disjoint:
             self._allocate_single(flow)
         else:
-            self._reallocate()
+            self._reallocate([flow, *finished])
         obs = self.obs
         if obs is not None:
             obs.flow_started(self, flow)
@@ -286,7 +302,7 @@ class FlowNetwork:
         pay 63 intermediate fills whose rates are superseded within
         the same instant.  Returns the flows in request order.
         """
-        self._advance_all()
+        finished = self._advance_all()
         flows: List[Flow] = []
         started: List[Flow] = []
         for route, size, rate_cap, label in requests:
@@ -307,7 +323,9 @@ class FlowNetwork:
             started.append(flow)
         if started:
             self.batched_starts += 1
-            self._reallocate()
+            self._reallocate(started + finished)
+        else:
+            self._unsettled += finished
         obs = self.obs
         if obs is not None:
             for flow in started:
@@ -355,8 +373,9 @@ class FlowNetwork:
         """
         if not flow.active:
             return
-        self._advance_all()
+        finished = self._advance_all()
         if not flow.active:
+            self._unsettled += finished
             return
         del self._flows[flow]
         self._remove(flow)
@@ -374,7 +393,7 @@ class FlowNetwork:
             flow.done.fail(exc)
             flow.done.defused = True
         if self._flows:
-            self._reallocate()
+            self._reallocate([flow, *finished])
         obs = self.obs
         if obs is not None:
             obs.flow_aborted(self, flow)
@@ -569,7 +588,7 @@ class FlowNetwork:
                 if refs.get(id(resource), 0):
                     # A surviving flow shares a resource with a finished
                     # one; its effective capacity changed.
-                    self._reallocate()
+                    self._reallocate(finished)
                     if self.obs is not None:
                         self.obs.rates_changed(self)
                     return
@@ -612,10 +631,65 @@ class FlowNetwork:
         delay = float(ft.remaining[slot]) / rate
         self._cal.push(self.env._now + delay, eid, slot, token)
 
-    def _reallocate(self) -> None:
-        """Recompute max-min fair rates and restage all completions."""
+    def _component(self, seeds: Sequence[Flow]
+                   ) -> Tuple[Dict[Flow, None], List[int]]:
+        """Active flows and membership keys connected to ``seeds``.
+
+        A walk of the membership index over *resources*:
+        two flows are connected when they cross a common resource in
+        either direction, because a key's effective capacity reads its
+        partner direction's member count (the duplex factor).  Seeds
+        may be active flows (a start) or detached ones (a finish or an
+        abort), whose resources still anchor the walk.  Returns the
+        connected flows and keys in discovery order.
+        """
+        members, active = self._members, self._flows
+        flows: Dict[Flow, None] = {}
+        keys: List[int] = []
+        seen = set()
+        todo: List[int] = []
+        for flow in seeds:
+            if flow in active:
+                flows[flow] = None
+            todo.extend(flow.hop_keys)
+        while todo:
+            base = todo.pop() & ~1
+            if base in seen:
+                continue
+            seen.add(base)
+            for key in (base, base | 1):
+                bucket = members.get(key)
+                if bucket:
+                    keys.append(key)
+                    for flow in bucket:
+                        if flow not in flows:
+                            flows[flow] = None
+                            todo.extend(flow.hop_keys)
+        return flows, keys
+
+    def _reallocate(self, seeds: Optional[Sequence[Flow]] = None) -> None:
+        """Re-solve the components ``seeds`` touch; restage all completions.
+
+        Max-min fairness splits exactly over connected components, and
+        progressive filling freezes a component's flows in the same
+        order whether it runs alone or interleaved with others, so
+        re-solving only the flows connected to the changed ones gives
+        every rate bit-identical to a global fill.  ``seeds`` are the
+        started, finished or aborted flows (plus any
+        :attr:`_unsettled` ones); ``None`` re-solves every flow, which
+        :meth:`requery_capacity` needs because the injector changes
+        fault factors on resources the network cannot see.
+
+        The completion restage stays global: every active flow gets a
+        fresh token and sequence id in one vectorized step, exactly as
+        before, which keeps completion times and same-instant event
+        order bit-identical.
+        """
         self.full_reallocations += 1
         ft, kt = self._ft, self._kt
+        if seeds is not None and self._unsettled:
+            seeds = [*seeds, *self._unsettled]
+        self._unsettled = []
         # Compact sparsely populated tables.  Stale calendar entries may
         # survive a renumbering, but globally unique tokens make them
         # inert no-ops wherever they land.
@@ -640,25 +714,44 @@ class FlowNetwork:
         if n == 0:
             self._cal.stage(act, _EMPTY_I64, _EMPTY_I64)
             return
-        prof = self.env._profile
-        if prof is not None:
-            t0 = perf_counter()
-        if n <= _SMALL_FILL_N:
-            by_flow = water_fill_reference(self._flows, self._members,
-                                           self._resources)
-            rates = np.array([by_flow[ft.objs[slot]] for slot in act])
-        else:
-            rates = water_fill_arrays(ft, kt, act, members=self._members,
-                                      profile=prof)
-        if prof is not None:
-            prof.fill_s += perf_counter() - t0
-            prof.fills += 1
-        bad = rates <= 0.0
-        if bad.any():
-            flow = ft.objs[int(act[int(np.argmax(bad))])]
-            raise SimulationError(
-                f"flow {flow.label!r} was allocated zero bandwidth")
-        ft.rate[act] = rates
+        flows, members, fill, keys = self._flows, self._members, act, None
+        if seeds is not None:
+            touched, touched_keys = self._component(seeds)
+            if len(touched) < n:
+                # Arrival and key-slot order, as the global fill visits
+                # them: argmin ties resolve identically.
+                slot_of = kt.slot_of
+                touched_keys.sort(key=slot_of.__getitem__)
+                fill = np.array(sorted(f._slot for f in touched),
+                                dtype=np.int64)
+                objs = ft.objs
+                flows = {objs[slot]: None for slot in fill.tolist()}
+                members = {key: self._members[key] for key in touched_keys}
+                keys = np.array([slot_of[key] for key in touched_keys],
+                                dtype=np.int64)
+        m = len(fill)
+        if m:
+            prof = self.env._profile
+            if prof is not None:
+                t0 = perf_counter()
+            if m <= _SMALL_FILL_N:
+                by_flow = water_fill_reference(flows, members,
+                                               self._resources,
+                                               profile=prof)
+                rates = np.array([by_flow[flow] for flow in flows])
+            else:
+                rates = water_fill_arrays(ft, kt, fill, members=members,
+                                          keys=keys, profile=prof)
+            if prof is not None:
+                prof.fill_s += perf_counter() - t0
+                prof.fills += 1
+                prof.fill_flows += m
+            bad = rates <= 0.0
+            if bad.any():
+                flow = ft.objs[int(fill[int(np.argmax(bad))])]
+                raise SimulationError(
+                    f"flow {flow.label!r} was allocated zero bandwidth")
+            ft.rate[fill] = rates
         token0 = self._next_token
         self._next_token = token0 + n
         tokens = np.arange(token0, token0 + n, dtype=np.int64)

@@ -336,7 +336,8 @@ class KeyTable:
         return lut
 
 
-def water_fill_reference(flows, members, resources) -> Dict["Flow", float]:
+def water_fill_reference(flows, members, resources,
+                         profile=None) -> Dict["Flow", float]:
     """Progressive filling over dicts — the retained reference solver.
 
     This is the pre-vectorization implementation, kept as the oracle
@@ -349,8 +350,12 @@ def water_fill_reference(flows, members, resources) -> Dict["Flow", float]:
 
     ``flows`` is the insertion-ordered dict of active flows,
     ``members`` the packed-key -> flow-dict membership index, and
-    ``resources`` the packed-resource-id -> resource map.  Returns the
-    flow -> rate mapping.
+    ``resources`` the packed-resource-id -> resource map.  ``flows``
+    and ``members`` may be restricted to one or more connected
+    components (keeping both directions of every resource they cross);
+    the rates are then exactly those of the full fill.  Returns the
+    flow -> rate mapping.  A :class:`~repro.sim.engine.SimProfile`
+    passed as ``profile`` is charged the fill rounds.
     """
     remaining_cap: Dict[int, float] = {}
     open_count: Dict[int, int] = {}
@@ -371,7 +376,9 @@ def water_fill_reference(flows, members, resources) -> Dict["Flow", float]:
             remaining_cap[key] = max(0.0, remaining_cap[key] - rate)
             open_count[key] -= 1
 
+    rounds = 0
     while unfrozen:
+        rounds += 1
         best_share = math.inf
         best_key = -1
         for key, count in open_count.items():
@@ -419,17 +426,23 @@ def water_fill_reference(flows, members, resources) -> Dict["Flow", float]:
                 del unfrozen[flow]
                 charge(flow, best_share)
 
+    if profile is not None:
+        profile.fill_rounds += rounds
     return frozen
 
 
 def water_fill_arrays(ft: FlowTable, kt: KeyTable,
                       active: np.ndarray,
                       members: Optional[Dict[int, Dict]] = None,
-                      profile=None) -> np.ndarray:
+                      profile=None,
+                      keys: Optional[np.ndarray] = None) -> np.ndarray:
     """Vectorized progressive filling; returns per-flow rates.
 
-    ``active`` is the arrival-ordered array of live flow slots.  The
-    returned rate array is parallel to it.  ``members`` is only touched
+    ``active`` is the arrival-ordered array of live flow slots to
+    solve.  The returned rate array is parallel to it.  ``keys``, the
+    increasing key slots those flows cross, restricts the fill to
+    connected components (default: every alive key, which needs
+    ``active`` to hold every live flow).  ``members`` is only touched
     on the zero-capacity error path (for the squeezed-flow labels in
     the diagnostic).
 
@@ -440,7 +453,7 @@ def water_fill_arrays(ft: FlowTable, kt: KeyTable,
     caps_f = ft.rate_cap[active]
     hops_f = ft.hops[active]
 
-    alive = np.nonzero(kt.alive[:kt.top])[0]
+    alive = np.nonzero(kt.alive[:kt.top])[0] if keys is None else keys
     K = len(alive)
     counts = kt.count[alive]
     partner = kt.partner[alive]

@@ -7,6 +7,7 @@ bench smoke.  Deselect with ``-m 'not perf'``.
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import numpy as np
@@ -37,10 +38,14 @@ def test_events_off_churn_keeps_optimized_wall():
         "instrumentation is no longer free")
 
 
-#: Flight-recorder (ring) mode vs plain recorder wall ratio ceiling.
-#: The ISSUE pins <=10% overhead; the additive slack absorbs timer
-#: noise on sub-second runs.
+#: Flight-recorder (ring) mode vs plain recorder wall ratio ceiling:
+#: <=10% overhead; the additive slack absorbs timer noise on
+#: sub-second runs.
 RING_RATIO_CEILING = 1.10
+#: Interleaved flat/ring run pairs.  Medians over interleaved pairs
+#: see a host slowdown in both arms; the minimum of three runs per arm
+#: let one lucky flat run fail the gate.
+RING_PAIRS = 5
 
 
 @pytest.mark.perf
@@ -68,12 +73,14 @@ def test_flight_recorder_overhead_and_memory_on_cluster():
         hier_sort(machine, data)
         return time.perf_counter() - start, recorder
 
-    flat_walls, ring_walls = [], []
-    for _ in range(3):
-        wall, flat = cluster_run(ring=False)
-        flat_walls.append(wall)
-        wall, ringed = cluster_run(ring=True)
-        ring_walls.append(wall)
+    walls: dict = {False: [], True: []}
+    recorders: dict = {}
+    for pair in range(RING_PAIRS):
+        # Alternate which arm runs first so warm-up favours neither.
+        for ring in ((False, True) if pair % 2 == 0 else (True, False)):
+            wall, recorders[ring] = cluster_run(ring=ring)
+            walls[ring].append(wall)
+    flat, ringed = recorders[False], recorders[True]
 
     # Bounded memory: every kind respects its cap (+ compaction slack),
     # and the ring genuinely dropped events the flat recorder kept.
@@ -86,10 +93,12 @@ def test_flight_recorder_overhead_and_memory_on_cluster():
     assert len(ringed.events) < len(flat.events)
     assert ringed.ring_stats()["evicted_total"] > 0
 
-    baseline, bounded = min(flat_walls), min(ring_walls)
+    baseline = statistics.median(walls[False])
+    bounded = statistics.median(walls[True])
     assert bounded < baseline * RING_RATIO_CEILING + 0.05, (
         f"flight-recorder cluster run took {bounded:.3f}s vs "
-        f"{baseline:.3f}s plain (ceiling {RING_RATIO_CEILING}x): ring "
+        f"{baseline:.3f}s plain (medians of {RING_PAIRS}; ceiling "
+        f"{RING_RATIO_CEILING}x): ring "
         "compaction has become too expensive for always-on use")
 
 
