@@ -1,7 +1,7 @@
 """Cluster-tier exchange bookkeeping for the hierarchical sort.
 
-The faulted :func:`~repro.sort.hier.hier_sort` path runs its
-cross-node all-to-all as a ledger of *contributions*: one sorted run
+:func:`~repro.sort.hier.hier_sort` runs its cross-node all-to-all
+as a ledger of *contributions*: one sorted run
 per input slice, held in one node's host memory, partitioned by the
 epoch's fixed splitters into per-range segments.  Every segment whose
 range is owned by another node must be delivered over the fabric; the
@@ -161,16 +161,18 @@ class ExchangeLedger:
         """The sorted parts range ``rng``'s owner merges, in cid order.
 
         Local segments are read straight from the owner's runs; remote
-        ones from the delivered inbox payloads.
+        ones from the delivered inbox payloads.  Empty segments are
+        never delivered (see :meth:`pending`) and contribute nothing.
         """
         owner = self.range_owner[rng]
         parts: List[np.ndarray] = []
         for contribution in sorted(self.contributions,
                                    key=lambda c: c.cid):
+            lo, hi = contribution.segment(rng, self.num_ranges)
+            if hi <= lo:
+                continue
             if contribution.node == owner:
-                lo, hi = contribution.segment(rng, self.num_ranges)
-                if hi > lo:
-                    parts.append(contribution.run[lo:hi])
+                parts.append(contribution.run[lo:hi])
             elif (contribution.cid, rng) in self.delivered:
                 parts.append(self.inbox[(contribution.cid, rng)].data)
             else:

@@ -10,15 +10,21 @@ to the multi-node clusters of :mod:`repro.hw.cluster`.  Three phases:
 2. **Exchange** — deterministic sampled splitters partition every
    node-local run into per-destination segments; the segments cross
    the fabric in ``N - 1`` all-to-all waves (round ``r``: node ``k``
-   sends to node ``(k + r) % N``).  A healthy cluster launches each
-   wave as one batched flow set (:meth:`FlowNetwork.start_flows`), so
-   a 64-node wave pays a single progressive fill instead of 63
-   superseded intermediate ones; under an installed fault plan the
-   copies fall back to the per-copy resilient path with retries,
-   re-routes and watchdogs.
+   sends to node ``(k + r) % N``).  Without a fault plan each wave is
+   one batched flow set (:meth:`FlowNetwork.start_flows`), so a
+   64-node wave pays a single progressive fill instead of 63
+   superseded intermediate ones; under an installed fault plan each
+   copy is its own resilient task with retries, re-routes and
+   watchdogs.
 3. **NodeMerge** — each node multiway-merges its own segment with the
    received ones on the CPU (the HET sort's host-merge primitive), so
    the global output is the concatenation of per-node merges.
+
+Every run, faulted or not, takes one execution path: an epoch driver
+over a wave-checkpointed :class:`~repro.recovery.cluster.ExchangeLedger`
+(see :func:`_elastic_sort`).  Its phases are supervised only when
+something can fail mid-flight, that is, when a fault plan or a
+deadline is installed; otherwise their tasks run as plain processes.
 
 Degenerate shapes are exact: a 1-node cluster skips phases 2 and 3
 entirely and adds *zero* simulated events over the plain P2P sort —
@@ -36,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
@@ -57,7 +64,8 @@ from repro.runtime.cpu_ops import cpu_multiway_merge
 from repro.runtime.kernels import sort_on_device
 from repro.runtime.memcpy import copy_async, span
 from repro.sort.gpu_set import surviving_gpu_ids
-from repro.sort.p2p import P2PConfig, _Chunk, _merge_chunks, _pad_value, _Stats
+from repro.sort.p2p import (P2PConfig, _Chunk, _merge_chunks, _no_check,
+                            _pad_value, _Stats)
 from repro.sort.result import SortResult
 from repro.units import US
 
@@ -84,15 +92,14 @@ class HierConfig:
     #: Exchange-wave re-executions after transient (non-fatal) wave
     #: failures before giving up with RecoveryError.
     max_wave_replays: int = 4
-    #: Wall-clock budget in simulated seconds for the faulted path;
-    #: exceeding it returns a typed partial result
+    #: Wall-clock budget in simulated seconds, with or without a fault
+    #: plan; exceeding it returns a typed partial result
     #: (``deadline_exceeded=True``, ``output=None``).  ``None``
     #: disables the budget.
     deadline_s: Optional[float] = None
     #: Directory for post-mortem bundles: a terminal SortError /
-    #: RecoveryError on the faulted path dumps a provenance-stamped
-    #: snapshot (failing wave, fabric tier, fault timeline) there
-    #: before propagating.
+    #: RecoveryError dumps a provenance-stamped snapshot (failing
+    #: wave, fabric tier, fault timeline) there before propagating.
     postmortem_dir: Optional[str] = None
 
 
@@ -111,30 +118,19 @@ class _NodePlan:
 
 
 def _node_local_run(machine: Machine, plan: _NodePlan, config: P2PConfig,
-                    stats: _Stats, group: Optional[TaskGroup] = None):
+                    stats: _Stats, spawn, check):
     """Process: one node's P2P pipeline (mirrors ``p2p_sort``'s run).
 
-    With ``group`` set (the elastic path) every concurrent batch runs
-    under the group's shields: a node death aborts *all* of the node's
-    flows in the same instant, and simultaneous bare process failures
-    under one ``all_of`` crash the event loop — shielded, they collapse
-    into the group's single recorded failure, raised once by
-    ``check()`` after the barrier.
+    ``spawn`` starts each concurrent batch's processes and ``check()``
+    runs after every barrier (``run_phase`` in :func:`_elastic_sort`).
+    Supervised, a node death aborts *all* of the node's flows in the
+    same instant, and simultaneous failures collapse into the group's
+    single recorded failure, raised once by ``check()``.
     """
     env = machine.env
     chunk = plan.chunk
     dtype = plan.staging.dtype
     chunks: List[_Chunk] = []
-    if group is None:
-        spawn = env.process
-        check = lambda: None  # noqa: E731
-    else:
-        spawn = (lambda gen:
-                 group.spawn(gen, name=f"t{len(group.procs)}"))
-
-        def check():
-            if group.failure is not None:
-                raise group.failure
     try:
         for gpu_id in plan.gpu_ids:
             device = machine.device(gpu_id)
@@ -202,20 +198,13 @@ def _exchange_wave(machine: Machine, copies):
     """Process: one all-to-all wave of host-to-host fabric copies.
 
     ``copies`` is a list of ``(dst_buffer, src_buffer, start, stop,
-    src_cpu, dst_cpu)``.  Healthy cluster: resolve every route, charge
-    the wave's worst hop latency once, then launch the whole wave as a
-    single batched allocation — semantically N simultaneous copies,
-    one progressive fill.  Under faults, each copy runs the resilient
-    per-copy path instead (retries, re-routes, watchdog).
+    src_cpu, dst_cpu)``.  Resolves every route, charges the wave's
+    worst hop latency once, then launches the whole wave as a single
+    batched allocation — semantically N simultaneous copies, one
+    progressive fill.  Interrupted (a deadline cancelling the phase),
+    it takes its flows out of the network before unwinding.
     """
     env = machine.env
-    if machine.faults is not None:
-        procs = [env.process(copy_async(
-            machine, span(dst), span(src, start, stop), phase="Exchange"))
-            for dst, src, start, stop, _s, _d in copies]
-        if procs:
-            yield env.all_of(procs)
-        return
     topology = machine.spec.topology
     started = env.now
     requests = []
@@ -235,7 +224,12 @@ def _exchange_wave(machine: Machine, copies):
     if machine.obs is not None:
         for flow, span_id in zip(flows, span_ids):
             machine.obs.attach_flow(flow, span_id)
-    yield env.all_of([flow.done for flow in flows])
+    try:
+        yield env.all_of([flow.done for flow in flows])
+    except BaseException:
+        for flow in flows:
+            machine.net.abort_flow(flow)
+        raise
     for (dst, src, start, stop, _src_cpu, dst_cpu), span_id, request in zip(
             copies, span_ids, requests):
         dst.data[:] = src.data[start:stop]
@@ -288,14 +282,17 @@ def hier_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
 
     ``resilience`` overrides the machine's policy *for this call only*
     (the machine's own policy is restored on exit, error paths
-    included).  Under an installed fault plan the sort runs the
-    elastic path: nodes already dead at planning time are excluded for
-    free, each surviving node re-plans its local sort over the largest
+    included).  The sort is elastic whether or not a fault plan is
+    installed: nodes already dead at planning time are excluded for
+    free, each surviving node plans its local sort over the largest
     power-of-two prefix of its surviving GPUs, the cross-node exchange
     is wave-checkpointed through an
     :class:`~repro.recovery.cluster.ExchangeLedger` (a node lost
     mid-exchange replays only what its death invalidated), and
     node-level replans are bounded by ``config.max_node_replans``.
+    Phases are supervised only when something can fail mid-flight — a
+    fault plan or ``config.deadline_s``; a fault-free run without a
+    deadline runs them as plain processes.
     """
     config = config or HierConfig()
     spec = machine.spec
@@ -323,183 +320,14 @@ def hier_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
     if resilience is not None:
         machine.resilience = resilience
     try:
-        if machine.faults is not None:
-            return _faulted_sort(machine, spec, config, host_in, per_node)
-        return _healthy_sort(machine, spec, config, host_in, per_node)
+        return _elastic_sort(machine, spec, config, host_in, per_node)
     finally:
         machine.resilience = saved_policy
 
 
-def _healthy_sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
+def _elastic_sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
                   host_in: HostBuffer, per_node: int) -> SortResult:
-    """The fault-free path: bit-identical to the pre-recovery engine."""
-    n = len(host_in.data)
-    num_nodes = spec.num_nodes
-    dtype = host_in.dtype
-    itemsize = dtype.itemsize
-
-    # -- shard the input and plan every node's local phase -----------------
-    shard = -(-n // num_nodes)
-    plans: List[_NodePlan] = []
-    excluded: List[int] = []
-    for k in range(num_nodes):
-        start, stop = k * shard, min((k + 1) * shard, n)
-        ids = spec.node_gpu_order(k, per_node)
-        plans.append(_plan_node(machine, spec, k, ids, start, stop,
-                                host_in))
-
-    node_stats = [_Stats() for _ in range(num_nodes)]
-    stats_before = machine.resilience_stats.snapshot()
-    start_time = machine.env.now
-    root_id = None
-    if machine.obs is not None:
-        root_id = machine.trace.allocate_id()
-        machine.trace.push_parent(root_id)
-
-    merged_out: List[Optional[np.ndarray]] = [None] * num_nodes
-
-    def run():
-        env = machine.env
-        if num_nodes == 1:
-            # Degenerate cluster: the local sort *is* the global sort.
-            # Run it inline — no wrapper process, no splitters, no
-            # exchange, no host merge — so the event stream is exactly
-            # the plain P2P pipeline's.
-            plan = plans[0]
-            yield from _node_local_run(machine, plan, config.local,
-                                       node_stats[0])
-            merged_out[0] = plan.host_out.data[
-                :plan.shard_stop - plan.shard_start]
-            return
-        local = [env.process(_node_local_run(machine, plan, config.local,
-                                             node_stats[plan.node]))
-                 for plan in plans]
-        yield env.all_of(local)
-
-        # The sorted shard is the padded run's prefix: pads are
-        # dtype-max sentinels, interchangeable with any real maxima.
-        runs = [plan.host_out.data[:plan.shard_stop - plan.shard_start]
-                for plan in plans]
-        # Splitter selection reads every node's samples over the
-        # fabric; charged as latency-bound remote reads, like the P2P
-        # sort's pivot probes.
-        probes = num_nodes * config.samples_per_node
-        yield env.timeout(probes * config.splitter_probe_latency_s)
-        splitters = _select_splitters(runs, num_nodes,
-                                      config.samples_per_node)
-        bounds = [np.searchsorted(run, splitters, side="left")
-                  for run in runs]
-
-        def segment(src: int, dst: int) -> Tuple[int, int]:
-            lo = 0 if dst == 0 else int(bounds[src][dst - 1])
-            hi = (runs[src].size if dst == num_nodes - 1
-                  else int(bounds[src][dst]))
-            return lo, hi
-
-        # Receive buffers: node i's incoming segment from every other
-        # node, allocated in i's local host memory.
-        inbox: Dict[Tuple[int, int], HostBuffer] = {}
-        for dst in range(num_nodes):
-            for src in range(num_nodes):
-                if src == dst:
-                    continue
-                lo, hi = segment(src, dst)
-                if hi > lo:
-                    inbox[(src, dst)] = machine.host_buffer(
-                        hi - lo, dtype=dtype, numa=plans[dst].numa)
-
-        # All-to-all in N-1 waves; round r pairs node k with node
-        # (k + r) % N, so every wave is a perfect matching of
-        # disjoint source/destination nodes.
-        for r in range(1, num_nodes):
-            copies = []
-            for src in range(num_nodes):
-                dst = (src + r) % num_nodes
-                key = (src, dst)
-                if key not in inbox:
-                    continue
-                lo, hi = segment(src, dst)
-                copies.append((inbox[key], plans[src].host_out, lo, hi,
-                               spec.node_cpu_name(src),
-                               spec.node_cpu_name(dst)))
-            if copies:
-                yield from _exchange_wave(machine, copies)
-
-        merges = []
-        for dst in range(num_nodes):
-            parts = []
-            for src in range(num_nodes):
-                if src == dst:
-                    lo, hi = segment(src, dst)
-                    if hi > lo:
-                        parts.append(runs[src][lo:hi])
-                elif (src, dst) in inbox:
-                    parts.append(inbox[(src, dst)].data)
-            total = sum(part.size for part in parts)
-            out = np.empty(total, dtype=dtype)
-            merged_out[dst] = out
-            if total:
-                merges.append(env.process(cpu_multiway_merge(
-                    machine, out, parts, numa=plans[dst].numa,
-                    phase="NodeMerge")))
-        if merges:
-            yield env.all_of(merges)
-
-    try:
-        machine.run(run())
-    finally:
-        if root_id is not None:
-            machine.trace.pop_parent()
-            machine.trace.record("HierSort", "sort", start_time,
-                                 bytes=n * itemsize * machine.scale,
-                                 id=root_id)
-    duration = machine.env.now - start_time
-    output = np.concatenate([part for part in merged_out
-                             if part is not None and part.size])
-
-    recovery = machine.resilience_stats.delta(stats_before)
-    fault_downtime = (machine.faults.downtime_between(
-        start_time, machine.env.now)
-        if machine.faults is not None else 0.0)
-    degraded = bool(excluded or recovery.retries or recovery.reroutes
-                    or recovery.timeouts or fault_downtime > 0.0)
-
-    pivots: List[int] = []
-    p2p_bytes = 0.0
-    for stats in node_stats:
-        pivots.extend(stats.pivots)
-        p2p_bytes += stats.p2p_bytes
-    all_ids = tuple(gpu_id for plan in plans for gpu_id in plan.gpu_ids)
-    g = len(plans[0].gpu_ids)
-    phases = {name: value for name, value in
-              machine.trace.phase_durations().items()
-              if name in ("HtoD", "Sort", "Merge", "DtoH",
-                          "Exchange", "NodeMerge")}
-    return SortResult(
-        algorithm="hier",
-        system=spec.name,
-        gpu_ids=all_ids,
-        physical_keys=n,
-        logical_keys=n * machine.scale,
-        dtype=str(dtype),
-        duration=duration,
-        phase_durations=phases,
-        p2p_bytes=p2p_bytes,
-        merge_stages=2 * int(math.log2(g)) - 1 if g > 1 else 0,
-        pivots=tuple(pivots),
-        output=output,
-        degraded=degraded,
-        retries=recovery.retries,
-        reroutes=recovery.reroutes,
-        timeouts=recovery.timeouts,
-        fault_downtime=fault_downtime,
-        excluded_gpus=tuple(excluded),
-    )
-
-
-def _faulted_sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
-                  host_in: HostBuffer, per_node: int) -> SortResult:
-    """The elastic path: epoch state machine with wave checkpointing.
+    """The sort's one path: epoch state machine with wave checkpointing.
 
     The sort runs as a sequence of *epochs*.  Each epoch sorts whatever
     input slices are not durably sorted yet (everything on the first
@@ -510,6 +338,15 @@ def _faulted_sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
     between survivors stay durable — and the next epoch replays only
     the invalidated work.  Transient (non-fatal) exchange failures
     replay just the failing wave.
+
+    Every phase goes through ``run_phase``, which makes the one
+    decision of whether the phase can fail mid-flight.  With neither a
+    fault plan nor a deadline nothing can: the phase's tasks run as
+    plain processes under one ``all_of`` and a single task runs inline,
+    so a fault-free run keeps the plain pipeline's event stream and a
+    1-node cluster adds zero events over
+    :func:`~repro.sort.p2p.p2p_sort`.  Otherwise the phase runs under a
+    shielded :class:`~repro.recovery.tasks.TaskGroup`.
     """
     env = machine.env
     faults = machine.faults
@@ -548,6 +385,8 @@ def _faulted_sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
         machine.trace.push_parent(root_id)
 
     def node_dead_now(k: int) -> bool:
+        if faults is None:
+            return False
         if k in faults.failed_node_ids():
             return True
         survivors, _ = surviving_gpu_ids(
@@ -578,14 +417,31 @@ def _faulted_sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
             ids = tuple(survivors[:keep])
         return _plan_node(machine, spec, k, ids, start, stop, host_in)
 
-    def run_phase(name: str, spawner):
-        """Process: run one phase's tasks under a shielded TaskGroup."""
+    def run_phase(name: str, tasks):
+        """Process: run one phase; each task is called as
+        ``task(spawn, check)`` and returns its generator."""
         failing["phase"] = name
         failing["started"] = env.now
+        if faults is None and deadline is None:
+            # Nothing can stop the phase mid-flight: no supervision.
+            if len(tasks) == 1:
+                yield from tasks[0](env.process, _no_check)
+            elif tasks:
+                yield env.all_of([env.process(task(env.process, _no_check))
+                                  for task in tasks])
+            return
         group = TaskGroup(env, name=name)
 
+        def spawn(gen):
+            return group.spawn(gen, name=f"t{len(group.procs)}")
+
+        def check():
+            if group.failure is not None:
+                raise group.failure
+
         def body():
-            spawner(group)
+            for task in tasks:
+                spawn(task(spawn, check))
             return None
             yield  # pragma: no cover - makes ``body`` a generator
 
@@ -617,9 +473,9 @@ def _faulted_sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
             raise
 
     def _local_one(plan: _NodePlan, job: Tuple[int, int, int],
-                   stats: _Stats, group: TaskGroup):
+                   stats: _Stats, spawn, check):
         yield from _node_local_run(machine, plan, config.local, stats,
-                                   group=group)
+                                   spawn, check)
         sorted_cache[job] = plan
 
     def _local_sorts(jobs: List[Tuple[int, int, int]]):
@@ -634,20 +490,16 @@ def _faulted_sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
             else:
                 fresh.append(i)
         if fresh:
-            stats = _Stats()
-            node_stats.append(stats)
+            tasks = []
             for i in fresh:
                 k, start, stop = jobs[i]
                 plans[i] = plan_alive_node(k, start, stop)
                 plan_ids[k] = plans[i].gpu_ids
-
-            def spawner(group):
-                for i in fresh:
-                    group.spawn(_local_one(plans[i], jobs[i], stats,
-                                           group),
-                                name=f"local{jobs[i]}")
-
-            yield from run_phase("LocalSort", spawner)
+                # One stats record per job keeps pivots in job order.
+                stats = _Stats()
+                node_stats.append(stats)
+                tasks.append(partial(_local_one, plans[i], jobs[i], stats))
+            yield from run_phase("LocalSort", tasks)
         return plans
 
     def _reshard(slices: List[Tuple[int, int]],
@@ -677,21 +529,38 @@ def _faulted_sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
                     plan.node, plan.shard_start, plan.shard_stop,
                     plan.host_out, plan.shard_stop - plan.shard_start)
 
-    def _deliver(ledger: ExchangeLedger, c, rng: int):
+    def _inbox(ledger: ExchangeLedger, c, rng: int):
+        """``(buffer, lo, hi)`` of one delivery; the receive buffer is
+        allocated in the range owner's host memory at delivery time."""
         lo, hi = c.segment(rng, ledger.num_ranges)
-        owner = ledger.range_owner[rng]
-        key = (c.cid, rng)
-        buf = ledger.inbox.get(key)
-        if buf is None or len(buf.data) != hi - lo:
-            buf = machine.host_buffer(hi - lo, dtype=dtype,
-                                      numa=spec.node_numa(owner))
-            ledger.inbox[key] = buf
-        yield from copy_async(machine, span(buf), span(c.host, lo, hi),
-                              phase="Exchange")
+        buf = machine.host_buffer(
+            hi - lo, dtype=dtype, numa=spec.node_numa(ledger.range_owner[rng]))
+        ledger.inbox[(c.cid, rng)] = buf
+        return buf, lo, hi
+
+    def _landed(ledger: ExchangeLedger, pairs) -> None:
         # Durability is per-delivery, not per-wave: a wave that fails
         # halfway still keeps the segments that landed.
-        ledger.delivered.add(key)
-        ever_delivered.add(key)
+        for c, rng in pairs:
+            ledger.delivered.add((c.cid, rng))
+            ever_delivered.add((c.cid, rng))
+
+    def _deliver(ledger: ExchangeLedger, c, rng: int, _spawn, _check):
+        """Process: one resilient per-copy delivery."""
+        buf, lo, hi = _inbox(ledger, c, rng)
+        yield from copy_async(machine, span(buf), span(c.host, lo, hi),
+                              phase="Exchange")
+        _landed(ledger, [(c, rng)])
+
+    def _deliver_wave(ledger: ExchangeLedger, batch, _spawn, _check):
+        """Process: a whole wave as one batched flow set."""
+        copies = []
+        for c, rng in batch:
+            buf, lo, hi = _inbox(ledger, c, rng)
+            copies.append((buf, c.host, lo, hi, spec.node_cpu_name(c.node),
+                           spec.node_cpu_name(ledger.range_owner[rng])))
+        yield from _exchange_wave(machine, copies)
+        _landed(ledger, batch)
 
     def _exchange(ledger: ExchangeLedger, alive: List[int]):
         """Process: drive pending deliveries in checkpointed waves."""
@@ -701,6 +570,8 @@ def _faulted_sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
             pairs = ledger.pending()
             if not pairs:
                 return
+            # Wave r sends from alive node i to (i + r) % a: a perfect
+            # matching of disjoint source/destination nodes.
             by_wave: Dict[int, List] = {}
             for c, rng in pairs:
                 r = (idx[ledger.range_owner[rng]] - idx[c.node]) % a
@@ -709,43 +580,40 @@ def _faulted_sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
             batch = sorted(by_wave[r], key=lambda p: (p[0].cid, p[1]))
             if any((c.cid, rng) in ever_delivered for c, rng in batch):
                 counters["waves_replayed"] += 1
-
-            def spawner(group, batch=batch):
-                for c, rng in batch:
-                    group.spawn(_deliver(ledger, c, rng),
-                                name=f"deliver{c.cid}:{rng}")
-
-            yield from run_phase(f"Exchange[wave {r}]", spawner)
+            if faults is None:
+                tasks = [partial(_deliver_wave, ledger, batch)]
+            else:
+                # Per-copy tasks: retries, re-routes and watchdogs act
+                # on each copy, and a wave failing halfway keeps the
+                # copies that landed.
+                tasks = [partial(_deliver, ledger, c, rng)
+                         for c, rng in batch]
+            yield from run_phase(f"Exchange[wave {r}]", tasks)
             counters["checkpoints"] += 1
             if machine.obs is not None:
                 machine.obs.checkpointed(f"Exchange[wave {r}]",
                                          len(batch), env.now)
 
     def _merge_one(ledger: ExchangeLedger, rng: int, owner: int,
-                   out: np.ndarray, parts: List[np.ndarray]):
-        if out.size:
-            yield from cpu_multiway_merge(machine, out, parts,
-                                          numa=spec.node_numa(owner),
-                                          phase="NodeMerge")
+                   out: np.ndarray, parts: List[np.ndarray],
+                   _spawn, _check):
+        yield from cpu_multiway_merge(machine, out, parts,
+                                      numa=spec.node_numa(owner),
+                                      phase="NodeMerge")
         ledger.merged[rng] = out
 
-    def _merges(ledger: ExchangeLedger, alive: List[int]):
-        todo = ledger.unmerged_ranges()
-        if not todo:
-            return
-        work = []
-        for rng in todo:
-            owner = ledger.range_owner[rng]
+    def _merges(ledger: ExchangeLedger):
+        tasks = []
+        for rng in ledger.unmerged_ranges():
             parts = ledger.merge_parts(rng)
-            total = sum(part.size for part in parts)
-            work.append((rng, owner, np.empty(total, dtype=dtype), parts))
-
-        def spawner(group):
-            for rng, owner, out, parts in work:
-                group.spawn(_merge_one(ledger, rng, owner, out, parts),
-                            name=f"merge{rng}")
-
-        yield from run_phase("NodeMerge", spawner)
+            out = np.empty(sum(part.size for part in parts), dtype=dtype)
+            if out.size:
+                tasks.append(partial(_merge_one, ledger, rng,
+                                     ledger.range_owner[rng], out, parts))
+            else:
+                ledger.merged[rng] = out
+        if tasks:
+            yield from run_phase("NodeMerge", tasks)
 
     def _epoch(alive: List[int]):
         """Process: one attempt at finishing the sort on ``alive``."""
@@ -762,8 +630,13 @@ def _faulted_sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
                 single_run[0] = plan.host_out.data[
                     :plan.shard_stop - plan.shard_start]
                 return
+            # The sorted shard is the padded run's prefix: pads are
+            # dtype-max sentinels, interchangeable with any real maxima.
             runs = [plan.host_out.data[:plan.shard_stop - plan.shard_start]
                     for plan in plans]
+            # Splitter selection reads every node's samples over the
+            # fabric; charged as latency-bound remote reads, like the
+            # P2P sort's pivot probes.
             probes = len(alive) * config.samples_per_node
             yield env.timeout(probes * config.splitter_probe_latency_s)
             if deadline is not None and deadline.processed:
@@ -785,7 +658,7 @@ def _faulted_sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
         yield from _exchange(ledger, alive)
         if "Exchange" not in completed:
             completed.append("Exchange")
-        yield from _merges(ledger, alive)
+        yield from _merges(ledger)
         if "NodeMerge" not in completed:
             completed.append("NodeMerge")
 
@@ -896,7 +769,8 @@ def _faulted_sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
                                  for rng in range(ledger.num_ranges)])
 
     recovery = machine.resilience_stats.delta(stats_before)
-    fault_downtime = faults.downtime_between(start_time, env.now)
+    fault_downtime = (faults.downtime_between(start_time, env.now)
+                      if faults is not None else 0.0)
     degraded = bool(excluded or excluded_nodes or counters["node_replans"]
                     or counters["waves_replayed"] or recovery.retries
                     or recovery.reroutes or recovery.timeouts

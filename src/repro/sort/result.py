@@ -66,7 +66,8 @@ class SortResult:
     #: Supervised sorts only: times the supervisor re-planned the run
     #: after a mid-phase device/transfer failure.
     replans: int = 0
-    #: Supervised sorts only: phase checkpoints written during the run.
+    #: Supervised and hierarchical sorts only: phase checkpoints
+    #: written during the run (for ``hier``, one per exchange wave).
     checkpoints: int = 0
     #: Supervised sorts only: checkpoints restored while re-planning
     #: (host-staged chunk copies reused instead of re-fetching).
@@ -77,13 +78,14 @@ class SortResult:
     #: Supervised sorts only: speculative backups that beat the
     #: original straggler (the loser was cancelled).
     speculative_wins: int = 0
-    #: Supervised sorts only: ``True`` when the sort's deadline budget
-    #: expired and the run was cancelled mid-phase.  The result is then
-    #: *partial*: ``output`` is ``None`` and ``completed_phases`` lists
-    #: how far the run got.
+    #: Supervised and hierarchical sorts only: ``True`` when the sort's
+    #: deadline budget expired and the run was cancelled mid-phase.
+    #: The result is then *partial*: ``output`` is ``None`` and
+    #: ``completed_phases`` lists how far the run got.
     deadline_exceeded: bool = False
-    #: Supervised sorts only: names of the phases that fully completed
-    #: (checkpointed), in execution order.
+    #: Supervised and hierarchical sorts only: names of the phases
+    #: that fully completed (checkpointed), in execution order; a
+    #: 1-node ``hier`` run has only ``("LocalSort",)``.
     completed_phases: Tuple[str, ...] = ()
 
     @property

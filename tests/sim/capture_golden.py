@@ -6,10 +6,13 @@ Run from the repo root::
 
 The JSON records, for each reference sort run, the end-to-end duration,
 the phase breakdown and every trace span (phase, actor, start, end,
-bytes) with full float precision.  The committed golden was captured
-from the pre-optimization allocator (the O(F^2) full-rescan
-``FlowNetwork``), so matching it proves the incremental engine leaves
-simulated time bit-identical.
+bytes) with full float precision.  The single-machine entries were
+captured from the pre-optimization allocator (the O(F^2) full-rescan
+``FlowNetwork``), so matching them proves the incremental engine leaves
+simulated time bit-identical.  The fault-free ``hier`` cluster entries
+were captured from the hierarchical sort while it still kept a separate
+fault-free execution path, so matching them proves its single
+execution path reproduces that one bit for bit.
 """
 
 from __future__ import annotations
@@ -20,24 +23,33 @@ import sys
 import numpy as np
 
 from repro.data import generate
-from repro.hw import dgx_a100
+from repro.hw import dgx_a100, make_cluster
 from repro.runtime import Machine
-from repro.sort import het_sort, p2p_sort
+from repro.sort import het_sort, hier_sort, p2p_sort
 
 CASES = {
-    # (algorithm, physical keys, logical billions)
+    # (algorithm, physical keys, logical billions[, nodes, fabric])
     "het-dgx-2b": ("het", 200_000, 2.0),
     "p2p-dgx-2b": ("p2p", 200_000, 2.0),
     "het-dgx-512b-ooc": ("het", 100_000, 512.0),
+    # Fault-free hierarchical sorts on dgx-a100 clusters.
+    "hier-dgx-x1-fat-tree-2b": ("hier", 100_000, 2.0, 1, "fat-tree"),
+    "hier-dgx-x2-fat-tree-2b": ("hier", 100_000, 2.0, 2, "fat-tree"),
+    "hier-dgx-x4-rail-2b": ("hier", 100_000, 2.0, 4, "rail"),
+    "hier-dgx-x4-dragonfly-2b": ("hier", 100_000, 2.0, 4, "dragonfly"),
 }
 
+SORTS = {"het": het_sort, "p2p": p2p_sort, "hier": hier_sort}
 
-def run_case(algorithm: str, physical: int, billions: float):
+
+def run_case(algorithm: str, physical: int, billions: float,
+             nodes: int = 0, fabric: str = "fat-tree"):
+    """Run one case; ``nodes > 0`` runs on a dgx-a100 cluster."""
     scale = billions * 1e9 / physical
-    machine = Machine(dgx_a100(), scale=scale, fast_functional=True)
+    spec = make_cluster("dgx-a100", nodes, fabric) if nodes else dgx_a100()
+    machine = Machine(spec, scale=scale, fast_functional=True)
     data = generate(physical, "uniform", np.int32, seed=42)
-    sort = p2p_sort if algorithm == "p2p" else het_sort
-    result = sort(machine, data)
+    result = SORTS[algorithm](machine, data)
     spans = sorted(
         [s.phase, s.actor, s.start, s.end, s.bytes]
         for s in machine.trace.spans)

@@ -2,10 +2,12 @@
 
 ``golden_determinism.json`` was captured (via ``capture_golden.py``)
 from the pre-optimization simulator — the full-rescan allocator with
-per-flow watcher processes.  The incremental engine is required to
-reproduce every simulated timestamp *exactly* (plain ``==`` on floats,
-no tolerance): its fast paths and persistent indices must be pure
-reorganizations of the same arithmetic, never approximations of it.
+per-flow watcher processes — and its ``hier`` cluster entries from the
+hierarchical sort's separate fault-free path.  The incremental engine
+and the single hierarchical-sort path are required to reproduce every
+simulated timestamp *exactly* (plain ``==`` on floats, no tolerance):
+they must be pure reorganizations of the same arithmetic, never
+approximations of it.
 """
 
 import json

@@ -51,6 +51,20 @@ class TestDegenerateShapes:
         assert result.phase_durations["NodeMerge"] > 0.0
 
 
+class TestCompletedPhases:
+    def test_clean_run_reports_every_phase(self):
+        machine = Machine(make_cluster("dgx-a100", 4))
+        result = hier_sort(machine, _data())
+        assert result.completed_phases == ("LocalSort", "Exchange",
+                                           "NodeMerge")
+        assert not result.deadline_exceeded
+
+    def test_one_node_run_reports_only_the_local_sort(self):
+        machine = Machine(make_cluster("dgx-a100", 1))
+        result = hier_sort(machine, _data())
+        assert result.completed_phases == ("LocalSort",)
+
+
 class TestCorrectness:
     @pytest.mark.parametrize("fabric", ["fat-tree", "rail", "dragonfly"])
     def test_four_nodes_sorted_on_every_fabric(self, fabric):
@@ -67,6 +81,17 @@ class TestCorrectness:
         machine = Machine(make_cluster("dgx-a100", 4))
         result = hier_sort(machine, data)
         assert np.array_equal(result.output, np.sort(data))
+
+    @pytest.mark.parametrize("faulted", [False, True])
+    def test_all_equal_keys_leave_ranges_empty(self, faulted):
+        # Every key lands in the last splitter range, so every other
+        # range has only empty segments to merge.
+        data = np.full(KEYS, 7, dtype=np.int32)
+        machine = Machine(make_cluster("dgx-a100", 4))
+        if faulted:
+            machine.install_faults(FaultPlan(events=()))
+        result = hier_sort(machine, data)
+        assert np.array_equal(result.output, data)
 
     def test_other_platform_cluster(self):
         data = _data(seed=13)

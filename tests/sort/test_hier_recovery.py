@@ -160,6 +160,35 @@ class TestDeadlineBudget:
         assert result.output is None
         assert result.degraded
 
+    def test_deadline_honoured_without_a_fault_plan(self):
+        clean = _clean_run()
+        result = hier_sort(_machine(), _data(), config=HierConfig(
+            deadline_s=0.5 * clean.duration))
+        assert result.deadline_exceeded
+        assert result.output is None
+        phases = ("LocalSort", "Exchange", "NodeMerge")
+        done = result.completed_phases
+        assert len(done) < len(phases)
+        assert done == phases[:len(done)]
+        assert result.duration < clean.duration
+
+    def test_deadline_stops_a_batched_exchange_wave(self):
+        # No fault plan: each wave is one batched flow set.  A deadline
+        # mid-exchange cancels the wave in flight and takes its flows
+        # out of the network instead of waiting for NodeMerge.
+        clean = _clean_run()
+        mid_exchange = clean.duration - 0.5 * (
+            clean.phase_durations["Exchange"]
+            + clean.phase_durations["NodeMerge"])
+        machine = _machine()
+        result = hier_sort(machine, _data(), config=HierConfig(
+            deadline_s=mid_exchange))
+        assert result.deadline_exceeded
+        assert result.completed_phases == ("LocalSort",)
+        assert result.duration == mid_exchange
+        assert machine.net.aborted_flows > 0
+        assert not machine.net.active_flows
+
     def test_generous_deadline_changes_nothing(self):
         data = _data(seed=31)
         clean = _clean_run(seed=31)
