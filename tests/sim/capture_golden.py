@@ -12,7 +12,10 @@ captured from the pre-optimization allocator (the O(F^2) full-rescan
 simulated time bit-identical.  The fault-free ``hier`` cluster entries
 were captured from the hierarchical sort while it still kept a separate
 fault-free execution path, so matching them proves its single
-execution path reproduces that one bit for bit.
+execution path reproduces that one bit for bit.  The supervised,
+key-value and NUMA-local P2P entries were captured while the P2P sort
+still had separate plain and supervised implementations, so matching
+them proves the one P2P phase driver reproduces both.
 """
 
 from __future__ import annotations
@@ -23,9 +26,10 @@ import sys
 import numpy as np
 
 from repro.data import generate
-from repro.hw import dgx_a100, make_cluster
+from repro.hw import dgx_a100, ibm_ac922, make_cluster
+from repro.recovery import SortSupervisor
 from repro.runtime import Machine
-from repro.sort import het_sort, hier_sort, p2p_sort
+from repro.sort import P2PConfig, het_sort, hier_sort, p2p_sort
 
 CASES = {
     # (algorithm, physical keys, logical billions[, nodes, fabric])
@@ -37,16 +41,47 @@ CASES = {
     "hier-dgx-x2-fat-tree-2b": ("hier", 100_000, 2.0, 2, "fat-tree"),
     "hier-dgx-x4-rail-2b": ("hier", 100_000, 2.0, 4, "rail"),
     "hier-dgx-x4-dragonfly-2b": ("hier", 100_000, 2.0, 4, "dragonfly"),
+    # Supervised sorts with the default SupervisorConfig.
+    "sup-p2p-dgx-2b": ("sup-p2p", 200_000, 2.0),
+    "sup-het-dgx-2b": ("sup-het", 200_000, 2.0),
+    # Key-value P2P on a length eight GPUs do not divide (padded).
+    "p2p-kv-dgx-padded-2b": ("p2p-kv", 100_003, 2.0),
+    # P2P with NUMA-local input placement (charged Redistribute).
+    "p2p-numa-local-ac922-2b": ("p2p-numa-local", 200_000, 2.0),
 }
 
-SORTS = {"het": het_sort, "p2p": p2p_sort, "hier": hier_sort}
+
+def _supervised(algorithm: str):
+    def sort(machine, data):
+        return SortSupervisor(machine).sort(data, algorithm=algorithm)
+    return sort
+
+
+def _p2p_key_value(machine, data):
+    return p2p_sort(machine, data,
+                    values=np.arange(len(data), dtype=np.int32))
+
+
+def _p2p_numa_local(machine, data):
+    return p2p_sort(machine, data,
+                    config=P2PConfig(input_placement="numa-local"))
+
+
+SORTS = {"het": het_sort, "p2p": p2p_sort, "hier": hier_sort,
+         "sup-p2p": _supervised("p2p"), "sup-het": _supervised("het"),
+         "p2p-kv": _p2p_key_value, "p2p-numa-local": _p2p_numa_local}
+#: Standalone platform per algorithm (default: the DGX A100).
+PLATFORMS = {"p2p-numa-local": ibm_ac922}
 
 
 def run_case(algorithm: str, physical: int, billions: float,
              nodes: int = 0, fabric: str = "fat-tree"):
     """Run one case; ``nodes > 0`` runs on a dgx-a100 cluster."""
     scale = billions * 1e9 / physical
-    spec = make_cluster("dgx-a100", nodes, fabric) if nodes else dgx_a100()
+    if nodes:
+        spec = make_cluster("dgx-a100", nodes, fabric)
+    else:
+        spec = PLATFORMS.get(algorithm, dgx_a100)()
     machine = Machine(spec, scale=scale, fast_functional=True)
     data = generate(physical, "uniform", np.int32, seed=42)
     result = SORTS[algorithm](machine, data)
