@@ -4,7 +4,9 @@ Every seed deterministically derives one :class:`ChaosCase` — a
 workload (algorithm, supervised or plain, input size) plus a
 :class:`~repro.faults.plan.FaultPlan` drawn from the same seed, with
 up to two hard GPU failures mixed in on top of
-:meth:`FaultPlan.generate`'s link/straggler/transient chaos.
+:meth:`FaultPlan.generate`'s link/straggler/transient chaos.  Seeds
+always draw uniform keys; a case's ``keys`` field swaps in one of the
+skewed inputs of :data:`KEY_KINDS` for the same plan.
 
 The contract under test (:func:`run_case`):
 
@@ -31,6 +33,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
+from repro.data import generate
 from repro.errors import ReproError
 from repro.faults.events import GpuFail, LinkFlap, NodeDown, SwitchDown
 from repro.faults.plan import FaultPlan
@@ -48,6 +51,10 @@ HORIZON_S = 2.5
 CLUSTER_HORIZON_S = 0.4
 #: Nodes of every cluster chaos case.
 CLUSTER_NODES = 4
+#: Input key distributions a case can sort.  Seeds draw ``uniform``;
+#: the others stress duplicate-heavy and adversarial orders.
+KEY_KINDS = ("uniform", "all-equal", "two-valued", "zipf",
+             "reverse-sorted")
 
 
 @dataclass(frozen=True)
@@ -62,6 +69,8 @@ class ChaosCase:
     #: Cluster cases only: node count (0 = standalone machine).
     nodes: int = 0
     fabric: str = "fat-tree"
+    #: Input key distribution, one of :data:`KEY_KINDS`.
+    keys: str = "uniform"
 
 
 @dataclass(frozen=True)
@@ -157,7 +166,13 @@ def case_for_cluster_seed(seed: int) -> ChaosCase:
 
 def _input_for(case: ChaosCase) -> np.ndarray:
     rng = np.random.default_rng(case.seed)
-    return rng.integers(0, 2**62, size=case.n, dtype=np.int64)
+    if case.keys == "uniform":
+        return rng.integers(0, 2**62, size=case.n, dtype=np.int64)
+    if case.keys == "all-equal":
+        return np.full(case.n, 7, dtype=np.int64)
+    if case.keys == "two-valued":
+        return rng.integers(0, 2, size=case.n, dtype=np.int64) << 40
+    return generate(case.n, case.keys, np.int64, seed=case.seed)
 
 
 def run_case(case: ChaosCase) -> Outcome:
@@ -254,7 +269,8 @@ def describe_case(case: ChaosCase) -> str:
         f"seed={case.seed} algorithm={case.algorithm} "
         f"supervised={case.supervised} n={case.n}"
         + (f" nodes={case.nodes} fabric={case.fabric}"
-           if case.nodes else ""),
+           if case.nodes else "")
+        + (f" keys={case.keys}" if case.keys != "uniform" else ""),
         f"transient_failure_prob={case.plan.transient_failure_prob}",
     ]
     if case.plan.events:

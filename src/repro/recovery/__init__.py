@@ -2,7 +2,14 @@
 
 The :class:`~repro.recovery.supervisor.SortSupervisor` runs the P2P and
 HET sorts as sequences of checkpointed phases so a GPU (or link) dying
-*mid-phase* re-plans the run over the survivors instead of aborting it:
+*mid-phase* re-plans the run over the survivors instead of aborting it.
+Every phase — the supervisor's and the hierarchical sort's — goes
+through one :func:`~repro.recovery.tasks.run_phase`, which supervises
+it only when a fault plan or a deadline can stop it mid-flight.  The
+P2P phase driver (:class:`repro.sort.p2p.P2PRun`) is the P2P sort's
+only execution path: :func:`~repro.sort.p2p.p2p_sort` runs it through
+the supervisor's phase loop with checkpoint staging and speculation
+off, so the plain P2P sort is elastic under a fault plan too.
 
 * every completed phase writes a durable
   :class:`~repro.recovery.checkpoint.PhaseCheckpoint` (which chunks

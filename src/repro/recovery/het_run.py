@@ -125,8 +125,8 @@ class HetRun:
         if "Pipeline" not in self.queue:
             self.queue = ["Pipeline"] + list(self.queue)
 
-    def finalize(self) -> np.ndarray:
-        return self.host_out.data
+    def finalize(self):
+        return self.host_out.data, None
 
     def result_fields(self) -> dict:
         return {"chunk_groups": self.groups}
@@ -149,12 +149,10 @@ class HetRun:
             batch = batch[:len(buffers)]
             if not batch:
                 break
-            procs = [group.spawn(self._chunk_chain(task, buffers[lane]),
-                                 name=f"chunk{task.index}")
+            procs = [group.spawn(self._chunk_chain(task, buffers[lane]))
                      for lane, task in enumerate(batch)]
             yield env.all_of(procs)
-            if group.failure is not None:
-                raise group.failure
+            group.check()
             flushed = tuple(task.run for task in self.tasks
                             if task.flushed)
             self.sup.note_checkpoint(PhaseCheckpoint(

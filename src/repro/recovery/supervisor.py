@@ -1,10 +1,12 @@
 """The self-healing sort supervisor.
 
 :class:`SortSupervisor` runs a multi-GPU sort as a sequence of
-checkpointed phases (see :mod:`repro.recovery`).  Each phase executes
-under a :class:`~repro.recovery.tasks.TaskGroup` in its own
-``machine.run`` call, so between phases the supervisor is back on the
-host side of the simulation and can react to what happened:
+checkpointed phases (see :mod:`repro.recovery`).  Each phase is one
+:func:`~repro.recovery.tasks.run_phase` call — under a
+:class:`~repro.recovery.tasks.TaskGroup` whenever a fault plan or the
+deadline can stop it mid-flight, as plain processes otherwise — so
+between phases the supervisor's phase loop (:meth:`SortSupervisor.drive`)
+can react to what happened:
 
 * **success** — write the phase's :class:`PhaseCheckpoint` (optionally
   staging chunk payloads to host memory first) and move on;
@@ -15,8 +17,11 @@ host side of the simulation and can react to what happened:
   return a typed partial :class:`~repro.sort.result.SortResult` with
   ``deadline_exceeded=True``.
 
-The per-algorithm phase logic lives in
-:mod:`repro.recovery.p2p_run` and :mod:`repro.recovery.het_run`.
+The per-algorithm phase logic lives in the drivers:
+:class:`repro.sort.p2p.P2PRun`, the P2P sort's only execution path
+(:func:`~repro.sort.p2p.p2p_sort` runs it through this same phase loop
+with checkpoint staging and speculation off), and
+:class:`repro.recovery.het_run.HetRun`.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from repro.errors import (
     TransferError,
 )
 from repro.recovery.checkpoint import PhaseCheckpoint, RecoveryStats
-from repro.recovery.tasks import TaskGroup
+from repro.recovery.tasks import run_phase
 from repro.runtime.buffer import HostBuffer, WorkspacePool, default_pool
 from repro.runtime.context import Machine
 from repro.sort.gpu_set import surviving_gpu_ids
@@ -46,8 +51,6 @@ from repro.sort.result import SortResult
 class SupervisorConfig:
     """Tunables of the self-healing supervisor."""
 
-    #: Single-GPU sort primitive for every on-device sort.
-    primitive: str = "thrust"
     #: Stage each GPU's sorted run to host memory after the local sort
     #: (a restorable checkpoint; costs one extra DtoH per chunk).
     checkpoint_sorted_chunks: bool = True
@@ -140,16 +143,15 @@ class SortSupervisor:
              **driver_kwargs) -> SortResult:
         """Run a supervised sort; returns a :class:`SortResult`.
 
-        ``algorithm`` is ``"p2p"`` or ``"het"``.  Keys only — the
-        supervised paths do not carry value payloads (use the plain
-        sorts for key-value records).  Extra keyword arguments go to
-        the algorithm driver (``p2p_config=`` / ``het_config=``).
+        ``algorithm`` is ``"p2p"`` or ``"het"``.  Extra keyword
+        arguments go to the algorithm driver: ``p2p_config=`` (and
+        ``values=``, since the P2P driver is the one P2P path) or
+        ``het_config=``.  The supervised HET path is keys only.
 
-        The supervisor drives the run from the host side, one
-        ``env.run`` per phase, exactly as before :meth:`sort_async`
-        existed — the trampoline below replays the generator's yielded
-        events through ``env.run`` without wrapping it in a process, so
-        single-sort runs stay bit-identical to the pre-service code.
+        The supervisor drives the run from the host side: the
+        trampoline below replays the generator's yielded events through
+        ``env.run`` without wrapping it in a process, so single-sort
+        runs stay bit-identical to the pre-service code.
         """
         generator = self.sort_async(data, algorithm=algorithm,
                                     gpu_ids=gpu_ids, **driver_kwargs)
@@ -188,15 +190,28 @@ class SortSupervisor:
         :class:`SortResult`; exceptions propagate through the process
         event like any other task failure.
         """
+        return (yield from self.drive(data, algorithm, gpu_ids,
+                                      driver_kwargs))
+
+    def drive(self, data: Union[np.ndarray, HostBuffer], algorithm: str,
+              gpu_ids: Optional[Sequence[int]], driver_kwargs: dict,
+              result_algorithm: Optional[str] = None,
+              root_span: Optional[tuple] = None):
+        """Process: the phase loop every supervised run goes through.
+
+        Builds the algorithm's driver, runs its phase queue one phase at
+        a time through :func:`~repro.recovery.tasks.run_phase` (so a
+        phase is supervised only when a fault plan or the deadline can
+        stop it), reacts to each phase's single typed error — replan on
+        a device or transfer failure, typed partial result on the
+        deadline — and returns the :class:`SortResult`.
+        :func:`repro.sort.p2p.p2p_sort` runs the same loop under its own
+        ``result_algorithm`` and ``(name, actor)`` root span.
+        """
         machine = self.machine
-        if algorithm == "p2p":
-            from repro.recovery.p2p_run import P2PRun as driver_cls
-        elif algorithm == "het":
-            from repro.recovery.het_run import HetRun as driver_cls
-        else:
+        if algorithm not in ("p2p", "het"):
             raise SortError(f"unknown supervised algorithm {algorithm!r} "
                             "(expected 'p2p' or 'het')")
-
         if isinstance(data, HostBuffer):
             host_in = data
         else:
@@ -205,13 +220,22 @@ class SortSupervisor:
             raise SortError("cannot sort an empty array")
 
         ids = self._initial_ids(algorithm, gpu_ids)
-        driver = driver_cls(self, host_in, ids, **driver_kwargs)
+        if algorithm == "p2p":
+            from repro.sort.p2p import P2PRun
+
+            driver = P2PRun(machine, host_in, ids, sup=self, **driver_kwargs)
+        else:
+            from repro.recovery.het_run import HetRun
+
+            driver = HetRun(self, host_in, ids, **driver_kwargs)
 
         env = machine.env
         start = env.now
         stats_before = machine.resilience_stats.snapshot()
         deadline = (env.timeout(self.config.deadline_s)
                     if self.config.deadline_s is not None else None)
+        span_name, span_actor = root_span or ("SupervisedSort",
+                                              self._actor())
         root_id = None
         if machine.obs is not None:
             root_id = machine.trace.allocate_id()
@@ -230,12 +254,13 @@ class SortSupervisor:
                 failing_phase = name
                 phase_started = env.now
                 try:
-                    yield from self._run_phase(name, driver.body(name),
-                                               deadline)
+                    yield from run_phase(env, name, [driver.body(name)],
+                                         machine.faults, deadline)
                     ck_body = driver.checkpoint_body(name)
                     if ck_body is not None:
-                        yield from self._run_phase(f"{name}:checkpoint",
-                                                   ck_body, deadline)
+                        yield from run_phase(env, f"{name}:checkpoint",
+                                             [ck_body], machine.faults,
+                                             deadline)
                     driver.after_phase(name)
                     self.rec.completed(name)
                     driver.queue.pop(0)
@@ -258,11 +283,13 @@ class SortSupervisor:
                 if self.config.job_label is None:
                     machine.trace.pop_parent()
                 machine.trace.record(
-                    "SupervisedSort", self._actor(), start,
+                    span_name, span_actor, start,
                     bytes=host_in.data.nbytes * machine.scale, id=root_id)
 
         duration = env.now - start
-        output = None if deadline_hit else driver.finalize()
+        output = output_values = None
+        if not deadline_hit:
+            output, output_values = driver.finalize()
         recovery = machine.resilience_stats.delta(stats_before)
         fault_downtime = (machine.faults.downtime_between(start, env.now)
                           if machine.faults is not None else 0.0)
@@ -276,7 +303,7 @@ class SortSupervisor:
                   machine.trace.phase_durations().items()
                   if phase in phase_names}
         return SortResult(
-            algorithm=f"supervised-{algorithm}",
+            algorithm=result_algorithm or f"supervised-{algorithm}",
             system=machine.spec.name,
             gpu_ids=driver.ids,
             physical_keys=len(host_in.data),
@@ -285,6 +312,7 @@ class SortSupervisor:
             duration=duration,
             phase_durations=phases,
             output=output,
+            output_values=output_values,
             degraded=degraded,
             retries=recovery.retries,
             reroutes=recovery.reroutes,
@@ -353,43 +381,6 @@ class SortSupervisor:
             keep = 1 << int(math.log2(len(ids)))
             ids = tuple(ids[:keep])
         return tuple(ids)
-
-    def _run_phase(self, name: str, body, deadline):
-        """One phase = one wait on a task-group runner.
-
-        The runner raises at most one exception (the phase's recorded
-        failure or the deadline); the quiesce in the except path is a
-        backstop that tears down any task the runner could not reap
-        before the supervisor reacts to the error.  A generator: the
-        yielded events reach either :meth:`sort`'s host trampoline
-        (``env.run`` per event) or the surrounding process when the run
-        executes as :meth:`sort_async` — same waits either way.
-        """
-        env = self.machine.env
-        group = TaskGroup(env, name=name)
-        runner = env.process(group.run(body(group), deadline=deadline))
-        try:
-            yield runner
-        except BaseException:
-            yield from self._quiesce(group, runner)
-            raise
-
-    def _quiesce(self, group: TaskGroup, runner):
-        """Force-drain a failed phase so no task outlives it."""
-        env = self.machine.env
-        for _attempt in range(100):
-            group.cancelled = True
-            leftovers = group.alive()
-            if runner.is_alive:
-                leftovers.append(runner)
-            if not leftovers:
-                return
-            for proc in leftovers:
-                group.interrupt_task(proc)
-            try:
-                yield env.all_of(leftovers)
-            except BaseException:  # noqa: BLE001 - keep draining
-                continue
 
     def _replan(self, driver, phase: str, exc: BaseException) -> None:
         machine = self.machine

@@ -16,11 +16,18 @@ The runner (:meth:`TaskGroup.run`) waits for all tasks, reacts to the
 first recorded failure or an optional deadline event by cancelling the
 survivors, drains them, and then raises — so the supervisor observes
 one typed error per phase, never a half-torn-down event loop.
+
+:func:`run_phase` is the one place that decides whether a phase needs
+a group at all: only a fault plan or a deadline can stop a phase
+mid-flight, so without either its tasks run as plain processes under a
+:class:`PlainGroup`.  Every phase of every sort driver (the
+supervisor's P2P and HET drivers, the hierarchical sort) goes through
+it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro.errors import DeadlineExceededError
 from repro.sim.engine import Environment, Event, Interrupt, Process
@@ -35,6 +42,9 @@ class TaskGroup:
     of beginning fresh work.
     """
 
+    #: Tasks are shielded and can be cancelled (see :class:`PlainGroup`).
+    supervised = True
+
     def __init__(self, env: Environment, name: str = "phase"):
         self.env = env
         self.name = name
@@ -48,11 +58,22 @@ class TaskGroup:
         self._interrupted: Set[int] = set()
 
     # -- spawning ----------------------------------------------------------
-    def spawn(self, gen, name: str) -> Process:
+    def spawn(self, gen, name: Optional[str] = None) -> Process:
         """Run ``gen`` as a shielded task; its failures go to the group."""
+        if name is None:
+            name = f"t{len(self.procs)}"
         proc = self.env.process(self._shield(gen, name))
         self.procs.append(proc)
         return proc
+
+    def check(self) -> None:
+        """Raise the phase failure, if one was recorded.
+
+        Tasks call it after every barrier: a failed sibling's shielded
+        process *succeeds*, so the barrier alone cannot tell.
+        """
+        if self.failure is not None:
+            raise self.failure
 
     def _shield(self, gen, name: str):
         if self.cancelled:
@@ -169,3 +190,78 @@ class TaskGroup:
                 return
             self._interrupt_live()
             yield self.env.all_of(live)
+
+
+class PlainGroup:
+    """A phase's tasks as plain processes: nothing can fail mid-flight.
+
+    The unsupervised stand-in for :class:`TaskGroup` with the same
+    ``spawn``/``check`` seam, so phase bodies are written once.
+    """
+
+    supervised = False
+
+    def __init__(self, env: Environment):
+        self.env = env
+
+    def spawn(self, gen, name: Optional[str] = None) -> Process:
+        return self.env.process(gen)
+
+    def check(self) -> None:
+        return None
+
+
+def run_phase(env: Environment, name: str,
+              tasks: Sequence[Callable], faults=None,
+              deadline: Optional[Event] = None):
+    """Process: run one phase; each task is called as ``task(group)``.
+
+    The one supervision rule: a phase is supervised only when something
+    can stop it mid-flight — an installed fault plan (``faults``) or a
+    ``deadline``.  Otherwise the tasks run as plain processes under one
+    ``all_of`` (a single task inline, adding no event), so a fault-free
+    run keeps the plain pipeline's event stream.  Supervised, the tasks
+    run under a :class:`TaskGroup` and the phase raises at most one
+    typed error: the first task failure or
+    :class:`~repro.errors.DeadlineExceededError`.
+    """
+    if faults is None and deadline is None:
+        group = PlainGroup(env)
+        if len(tasks) == 1:
+            yield from tasks[0](group)
+        elif tasks:
+            yield env.all_of([env.process(task(group)) for task in tasks])
+        return
+    group = TaskGroup(env, name=name)
+
+    def body():
+        for task in tasks:
+            group.spawn(task(group))
+        return None
+        yield  # pragma: no cover - makes ``body`` a generator
+
+    runner = env.process(group.run(body(), deadline=deadline))
+    try:
+        yield runner
+    except GeneratorExit:
+        # The driver was abandoned (an error crossed ``env.run`` and
+        # its generator is being closed): draining would mean yielding
+        # inside close(), which is illegal — just unwind.
+        raise
+    except BaseException:
+        # Backstop: force-drain anything the runner could not reap
+        # before the driver reacts to the error.
+        for _attempt in range(100):
+            group.cancelled = True
+            leftovers = group.alive()
+            if runner.is_alive:
+                leftovers.append(runner)
+            if not leftovers:
+                break
+            for proc in leftovers:
+                group.interrupt_task(proc)
+            try:
+                yield env.all_of(leftovers)
+            except BaseException:  # noqa: BLE001 - keep draining
+                continue
+        raise

@@ -304,6 +304,7 @@ def _grouped_gpu_merge_pipeline(machine: Machine, devices,
     copies).  Uniform groups come back as one sorted run; a ragged last
     group skips the GPU merge and returns per-chunk runs.
     """
+    from repro.recovery.tasks import PlainGroup
     from repro.sort.p2p import P2PConfig, _Chunk, _merge_chunks, _Stats
 
     env = machine.env
@@ -396,7 +397,7 @@ def _grouped_gpu_merge_pipeline(machine: Machine, devices,
                        if chunk.has_values else None)
                 for chunk in chunks]
             yield from _merge_chunks(machine, group_chunks, merge_config,
-                                     _Stats())
+                                     _Stats(), PlainGroup(env))
             # Propagate any buffer flips back to the real chunks.
             for real, view in zip(chunks, group_chunks):
                 if backing[id(view.primary)] is real.aux:
@@ -425,17 +426,27 @@ def het_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
     Pass ``values`` for key-value records; sorted payloads come back in
     ``result.output_values``.
 
-    ``resilience`` overrides the machine's policy for this run.  On a
-    machine with an installed fault plan, failed or badly straggling
-    GPUs are dropped and the chunk groups re-planned over the
-    survivors (any count works — HET needs no power of two unless
-    ``gpu_merge_groups`` is on); recovery work is reported on the
-    result.
+    ``resilience`` overrides the machine's policy *for this call only*
+    (restored on exit, error paths included).  On a machine with an
+    installed fault plan, failed or badly straggling GPUs are dropped
+    and the chunk groups re-planned over the survivors (any count works
+    — HET needs no power of two unless ``gpu_merge_groups`` is on);
+    recovery work is reported on the result.
     """
-    config = config or HetConfig()
-    config.buffers_per_gpu()  # validate the approach early
+    saved_policy = machine.resilience
     if resilience is not None:
         machine.resilience = resilience
+    try:
+        return _het_sort(machine, data, gpu_ids, config or HetConfig(),
+                         values)
+    finally:
+        machine.resilience = saved_policy
+
+
+def _het_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
+              gpu_ids: Optional[Sequence[int]], config: HetConfig,
+              values: Optional[np.ndarray]) -> SortResult:
+    config.buffers_per_gpu()  # validate the approach early
     if isinstance(data, HostBuffer):
         host_in = data
     else:

@@ -3,10 +3,11 @@
 The paper's algorithms stop at one machine; this module scales them out
 to the multi-node clusters of :mod:`repro.hw.cluster`.  Three phases:
 
-1. **LocalSort** — every node runs the P2P sort pipeline (HtoD, device
-   sort, recursive merge with block swaps, DtoH) over its own GPUs and
-   its shard of the input, exactly as :func:`repro.sort.p2p.p2p_sort`
-   would on the standalone machine.  Nodes proceed concurrently.
+1. **LocalSort** — every node runs the P2P sort's phase bodies
+   (:class:`~repro.sort.p2p.P2PRun`: HtoD, device sort, recursive
+   merge with block swaps, DtoH) over its own GPUs and its shard of
+   the input, exactly as :func:`repro.sort.p2p.p2p_sort` would on the
+   standalone machine.  Nodes proceed concurrently.
 2. **Exchange** — deterministic sampled splitters partition every
    node-local run into per-destination segments; the segments cross
    the fabric in ``N - 1`` all-to-all waves (round ``r``: node ``k``
@@ -22,7 +23,8 @@ to the multi-node clusters of :mod:`repro.hw.cluster`.  Three phases:
 
 Every run, faulted or not, takes one execution path: an epoch driver
 over a wave-checkpointed :class:`~repro.recovery.cluster.ExchangeLedger`
-(see :func:`_elastic_sort`).  Its phases are supervised only when
+(see :func:`_elastic_sort`).  Its phases go through the supervisor's
+:func:`~repro.recovery.tasks.run_phase`: supervised only when
 something can fail mid-flight, that is, when a fault plan or a
 deadline is installed; otherwise their tasks run as plain processes.
 
@@ -57,15 +59,13 @@ from repro.errors import (
 from repro.faults.policy import ResiliencePolicy
 from repro.hw.cluster import ClusterSpec
 from repro.recovery.cluster import ExchangeLedger
-from repro.recovery.tasks import TaskGroup
+from repro.recovery.tasks import run_phase
 from repro.runtime.buffer import HostBuffer
 from repro.runtime.context import Machine
 from repro.runtime.cpu_ops import cpu_multiway_merge
-from repro.runtime.kernels import sort_on_device
 from repro.runtime.memcpy import copy_async, span
 from repro.sort.gpu_set import surviving_gpu_ids
-from repro.sort.p2p import (P2PConfig, _Chunk, _merge_chunks, _no_check,
-                            _pad_value, _Stats)
+from repro.sort.p2p import P2PConfig, P2PRun, _Stats
 from repro.sort.result import SortResult
 from repro.units import US
 
@@ -105,71 +105,14 @@ class HierConfig:
 
 @dataclass
 class _NodePlan:
-    """Everything one node needs for its local phase."""
+    """One node's local phase: its input slice and P2P run."""
 
     node: int
-    gpu_ids: Tuple[int, ...]
-    numa: int
     shard_start: int
     shard_stop: int
-    chunk: int
-    staging: HostBuffer
-    host_out: HostBuffer
-
-
-def _node_local_run(machine: Machine, plan: _NodePlan, config: P2PConfig,
-                    stats: _Stats, spawn, check):
-    """Process: one node's P2P pipeline (mirrors ``p2p_sort``'s run).
-
-    ``spawn`` starts each concurrent batch's processes and ``check()``
-    runs after every barrier (``run_phase`` in :func:`_elastic_sort`).
-    Supervised, a node death aborts *all* of the node's flows in the
-    same instant, and simultaneous failures collapse into the group's
-    single recorded failure, raised once by ``check()``.
-    """
-    env = machine.env
-    chunk = plan.chunk
-    dtype = plan.staging.dtype
-    chunks: List[_Chunk] = []
-    try:
-        for gpu_id in plan.gpu_ids:
-            device = machine.device(gpu_id)
-            primary = device.alloc(chunk, dtype, label=f"chunk{gpu_id}")
-            aux = device.alloc(chunk, dtype, label=f"aux{gpu_id}")
-            chunks.append(_Chunk(device, primary, aux))
-
-        htod = []
-        for i, c in enumerate(chunks):
-            htod.append(spawn(copy_async(
-                machine, span(c.primary),
-                span(plan.staging, i * chunk, (i + 1) * chunk),
-                phase="HtoD")))
-        yield env.all_of(htod)
-        check()
-
-        sorts = [spawn(sort_on_device(
-            machine, span(c.primary), primitive=config.primitive,
-            phase="Sort"))
-            for c in chunks]
-        yield env.all_of(sorts)
-        check()
-
-        yield from _merge_chunks(machine, chunks, config, stats,
-                                 spawn=spawn, check=check)
-
-        dtoh = [spawn(copy_async(
-            machine, span(plan.host_out, i * chunk, (i + 1) * chunk),
-            span(c.primary), phase="DtoH"))
-            for i, c in enumerate(chunks)]
-        yield env.all_of(dtoh)
-        check()
-    finally:
-        # Also on interrupt / device failure: a replanned epoch must
-        # not inherit leaked device allocations from the failed one.
-        for c in chunks:
-            for buffer in c.all_buffers():
-                if not buffer.released:
-                    buffer.free()
+    #: The node's P2P run; the shard-length prefix of its ``host_out``
+    #: is the node's sorted run (the pads are dtype-max sentinels).
+    run: P2PRun
 
 
 def _select_splitters(runs: Sequence[np.ndarray], num_nodes: int,
@@ -235,37 +178,6 @@ def _exchange_wave(machine: Machine, copies):
         dst.data[:] = src.data[start:stop]
         machine.trace.record("Exchange", dst_cpu, started,
                              bytes=request[1], id=span_id)
-
-
-def _plan_node(machine: Machine, spec: ClusterSpec, node: int,
-               ids: Tuple[int, ...], start: int, stop: int,
-               host_in: HostBuffer) -> _NodePlan:
-    """Stage one node's input slice and size its per-GPU chunks."""
-    dtype = host_in.dtype
-    itemsize = dtype.itemsize
-    g = len(ids)
-    shard_n = stop - start
-    chunk = -(-shard_n // g)
-    padded = chunk * g
-    for gpu_id in ids:
-        need = 2 * chunk * itemsize * machine.scale
-        device = machine.device(gpu_id)
-        if need > device.capacity_logical:
-            raise SortError(
-                f"{device.name}: node shard chunk of {chunk} keys "
-                f"needs {need / 1e9:.1f} GB, exceeding "
-                f"{device.capacity_logical / 1e9:.1f} GB; shrink the "
-                "input or grow the cluster")
-    numa = spec.node_numa(node)
-    padded_data = np.empty(padded, dtype=dtype)
-    padded_data[:shard_n] = host_in.data[start:stop]
-    padded_data[shard_n:] = _pad_value(dtype)
-    staging = machine.host_buffer(padded_data, numa=numa, pinned=True)
-    host_out = machine.host_buffer(np.empty(padded, dtype=dtype),
-                                   numa=numa, pinned=True)
-    return _NodePlan(node=node, gpu_ids=ids, numa=numa,
-                     shard_start=start, shard_stop=stop,
-                     chunk=chunk, staging=staging, host_out=host_out)
 
 
 def hier_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
@@ -339,14 +251,16 @@ def _elastic_sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
     the invalidated work.  Transient (non-fatal) exchange failures
     replay just the failing wave.
 
-    Every phase goes through ``run_phase``, which makes the one
-    decision of whether the phase can fail mid-flight.  With neither a
-    fault plan nor a deadline nothing can: the phase's tasks run as
-    plain processes under one ``all_of`` and a single task runs inline,
-    so a fault-free run keeps the plain pipeline's event stream and a
-    1-node cluster adds zero events over
-    :func:`~repro.sort.p2p.p2p_sort`.  Otherwise the phase runs under a
-    shielded :class:`~repro.recovery.tasks.TaskGroup`.
+    Every phase goes through the shared
+    :func:`~repro.recovery.tasks.run_phase` (via ``tracked_phase``,
+    which also notes the failing phase), which makes the one decision
+    of whether the phase can fail mid-flight.  With neither a fault
+    plan nor a deadline nothing can: the phase's tasks run as plain
+    processes under one ``all_of`` and a single task runs inline, so a
+    fault-free run keeps the plain pipeline's event stream and a 1-node
+    cluster adds zero events over :func:`~repro.sort.p2p.p2p_sort`.
+    Otherwise the phase runs under a shielded
+    :class:`~repro.recovery.tasks.TaskGroup`.
     """
     env = machine.env
     faults = machine.faults
@@ -415,67 +329,19 @@ def _elastic_sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
         if dropped:
             keep = 1 << int(math.log2(len(survivors)))
             ids = tuple(survivors[:keep])
-        return _plan_node(machine, spec, k, ids, start, stop, host_in)
+        shard = machine.host_buffer(host_in.data[start:stop],
+                                    numa=spec.node_numa(k), pinned=True)
+        return _NodePlan(node=k, shard_start=start, shard_stop=stop,
+                         run=P2PRun(machine, shard, ids, config.local))
 
-    def run_phase(name: str, tasks):
-        """Process: run one phase; each task is called as
-        ``task(spawn, check)`` and returns its generator."""
+    def tracked_phase(name: str, tasks):
+        """Process: one phase through the shared :func:`run_phase`."""
         failing["phase"] = name
         failing["started"] = env.now
-        if faults is None and deadline is None:
-            # Nothing can stop the phase mid-flight: no supervision.
-            if len(tasks) == 1:
-                yield from tasks[0](env.process, _no_check)
-            elif tasks:
-                yield env.all_of([env.process(task(env.process, _no_check))
-                                  for task in tasks])
-            return
-        group = TaskGroup(env, name=name)
+        yield from run_phase(env, name, tasks, faults, deadline)
 
-        def spawn(gen):
-            return group.spawn(gen, name=f"t{len(group.procs)}")
-
-        def check():
-            if group.failure is not None:
-                raise group.failure
-
-        def body():
-            for task in tasks:
-                spawn(task(spawn, check))
-            return None
-            yield  # pragma: no cover - makes ``body`` a generator
-
-        runner = env.process(group.run(body(), deadline=deadline))
-        try:
-            yield runner
-        except GeneratorExit:
-            # The driver was abandoned (a typed error crossed
-            # ``machine.run`` and this frame is being gc-closed):
-            # draining would mean yielding inside close(), which is
-            # illegal — just unwind.
-            raise
-        except BaseException:
-            # Backstop: force-drain anything the runner could not reap
-            # before the driver reacts to the error.
-            for _attempt in range(100):
-                group.cancelled = True
-                leftovers = group.alive()
-                if runner.is_alive:
-                    leftovers.append(runner)
-                if not leftovers:
-                    break
-                for proc in leftovers:
-                    group.interrupt_task(proc)
-                try:
-                    yield env.all_of(leftovers)
-                except BaseException:  # noqa: BLE001 - keep draining
-                    continue
-            raise
-
-    def _local_one(plan: _NodePlan, job: Tuple[int, int, int],
-                   stats: _Stats, spawn, check):
-        yield from _node_local_run(machine, plan, config.local, stats,
-                                   spawn, check)
+    def _local_one(plan: _NodePlan, job: Tuple[int, int, int], group):
+        yield from plan.run.run_local(group)
         sorted_cache[job] = plan
 
     def _local_sorts(jobs: List[Tuple[int, int, int]]):
@@ -486,7 +352,7 @@ def _elastic_sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
             cached = sorted_cache.get(job)
             if cached is not None:
                 plans[i] = cached
-                plan_ids.setdefault(job[0], cached.gpu_ids)
+                plan_ids.setdefault(job[0], cached.run.ids)
             else:
                 fresh.append(i)
         if fresh:
@@ -494,12 +360,17 @@ def _elastic_sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
             for i in fresh:
                 k, start, stop = jobs[i]
                 plans[i] = plan_alive_node(k, start, stop)
-                plan_ids[k] = plans[i].gpu_ids
+                plan_ids[k] = plans[i].run.ids
                 # One stats record per job keeps pivots in job order.
-                stats = _Stats()
-                node_stats.append(stats)
-                tasks.append(partial(_local_one, plans[i], jobs[i], stats))
-            yield from run_phase("LocalSort", tasks)
+                node_stats.append(plans[i].run.stats)
+                tasks.append(partial(_local_one, plans[i], jobs[i]))
+            try:
+                yield from tracked_phase("LocalSort", tasks)
+            finally:
+                # Also on a failed epoch: a replanned one must not
+                # inherit device allocations or pool loans from it.
+                for i in fresh:
+                    plans[i].run.cleanup()
         return plans
 
     def _reshard(slices: List[Tuple[int, int]],
@@ -527,7 +398,7 @@ def _elastic_sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
             if key not in live:
                 ledger.add_contribution(
                     plan.node, plan.shard_start, plan.shard_stop,
-                    plan.host_out, plan.shard_stop - plan.shard_start)
+                    plan.run.host_out, plan.shard_stop - plan.shard_start)
 
     def _inbox(ledger: ExchangeLedger, c, rng: int):
         """``(buffer, lo, hi)`` of one delivery; the receive buffer is
@@ -545,14 +416,14 @@ def _elastic_sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
             ledger.delivered.add((c.cid, rng))
             ever_delivered.add((c.cid, rng))
 
-    def _deliver(ledger: ExchangeLedger, c, rng: int, _spawn, _check):
+    def _deliver(ledger: ExchangeLedger, c, rng: int, _group):
         """Process: one resilient per-copy delivery."""
         buf, lo, hi = _inbox(ledger, c, rng)
         yield from copy_async(machine, span(buf), span(c.host, lo, hi),
                               phase="Exchange")
         _landed(ledger, [(c, rng)])
 
-    def _deliver_wave(ledger: ExchangeLedger, batch, _spawn, _check):
+    def _deliver_wave(ledger: ExchangeLedger, batch, _group):
         """Process: a whole wave as one batched flow set."""
         copies = []
         for c, rng in batch:
@@ -588,15 +459,14 @@ def _elastic_sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
                 # copies that landed.
                 tasks = [partial(_deliver, ledger, c, rng)
                          for c, rng in batch]
-            yield from run_phase(f"Exchange[wave {r}]", tasks)
+            yield from tracked_phase(f"Exchange[wave {r}]", tasks)
             counters["checkpoints"] += 1
             if machine.obs is not None:
                 machine.obs.checkpointed(f"Exchange[wave {r}]",
                                          len(batch), env.now)
 
     def _merge_one(ledger: ExchangeLedger, rng: int, owner: int,
-                   out: np.ndarray, parts: List[np.ndarray],
-                   _spawn, _check):
+                   out: np.ndarray, parts: List[np.ndarray], _group):
         yield from cpu_multiway_merge(machine, out, parts,
                                       numa=spec.node_numa(owner),
                                       phase="NodeMerge")
@@ -613,7 +483,7 @@ def _elastic_sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
             else:
                 ledger.merged[rng] = out
         if tasks:
-            yield from run_phase("NodeMerge", tasks)
+            yield from tracked_phase("NodeMerge", tasks)
 
     def _epoch(alive: List[int]):
         """Process: one attempt at finishing the sort on ``alive``."""
@@ -627,13 +497,13 @@ def _elastic_sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
                 completed.append("LocalSort")
             if len(alive) == 1:
                 plan = plans[0]
-                single_run[0] = plan.host_out.data[
+                single_run[0] = plan.run.host_out.data[
                     :plan.shard_stop - plan.shard_start]
                 return
             # The sorted shard is the padded run's prefix: pads are
             # dtype-max sentinels, interchangeable with any real maxima.
-            runs = [plan.host_out.data[:plan.shard_stop - plan.shard_start]
-                    for plan in plans]
+            runs = [p.run.host_out.data[:p.shard_stop - p.shard_start]
+                    for p in plans]
             # Splitter selection reads every node's samples over the
             # fabric; charged as latency-bound remote reads, like the
             # P2P sort's pivot probes.

@@ -75,20 +75,22 @@ def place_chunks(machine: Machine, host_in: HostBuffer,
 
 def redistribute(machine: Machine, host_in: HostBuffer,
                  chunks: Sequence[PlacedChunk],
-                 phase: str = "Redistribute"):
+                 phase: str = "Redistribute", spawn=None):
     """Process: charge the host-to-host moves of off-node chunks.
 
     Chunks staged on the input's own node cost nothing; the others pay
     one concurrent host-to-host flow each over the CPU interconnect.
+    ``spawn`` starts each move (default: a plain process).
     """
     env = machine.env
+    spawn = spawn or env.process
     procs = []
     for chunk in chunks:
         if chunk.staging.numa == host_in.numa:
             continue
         source = HostBuffer(host_in.data[chunk.src_start:chunk.src_stop],
                             numa=host_in.numa, pinned=host_in.pinned)
-        procs.append(env.process(copy_async(
+        procs.append(spawn(copy_async(
             machine, span(chunk.staging), span(source), phase=phase)))
     if procs:
         yield env.all_of(procs)

@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Tuple
 
 from repro.errors import SortError
+from repro.recovery.tasks import PlainGroup
 from repro.runtime.kernels import merge_two_on_device
 from repro.runtime.memcpy import copy_async, span
 
@@ -54,15 +55,10 @@ def _p2p_copy(machine: "Machine", dst, src, multihop: bool, phase: str):
     return result
 
 
-def _no_check() -> None:
-    """Default ``check``: unsupervised runs have no failure to stop on."""
-
-
 def swap_and_merge_pair(machine: "Machine", left: "_Chunk",
                         right: "_Chunk", pivot: int,
                         merge_phase: str = "Merge",
-                        multihop: bool = False,
-                        spawn=None, check=None):
+                        multihop: bool = False, group=None):
     """Process: execute the pivot swap between two chunks, then merge.
 
     ``left`` and ``right`` are chunk holders exposing ``primary`` and
@@ -71,21 +67,18 @@ def swap_and_merge_pair(machine: "Machine", left: "_Chunk",
     pivots (``p == n``) skip the local merges (whole chunks change
     sides already sorted, like C1/C2 in the paper's Figure 9).
 
-    ``spawn``/``check`` are the supervision seam: a supervised run
-    spawns the concurrent copies and merges through its task group's
-    shield (so a failing child never crashes the event loop) and calls
-    ``check`` after each barrier to stop on a recorded failure before
-    touching the chunks again.  Left unset, children are plain
-    processes and ``check`` does nothing — bit-identical to the
-    unsupervised path.
+    ``group`` is the phase's task group (see
+    :func:`repro.recovery.tasks.run_phase`): a supervised run spawns the
+    concurrent copies and merges through its shield (so a failing child
+    never crashes the event loop) and calls ``group.check()`` after
+    each barrier to stop on a recorded failure before touching the
+    chunks again.  Left unset, children are plain processes.
 
     Returns the logical byte volume moved over P2P links.
     """
     env = machine.env
-    if spawn is None:
-        spawn = env.process
-    if check is None:
-        check = _no_check
+    group = group or PlainGroup(env)
+    spawn = group.spawn
     n = left.size
     if right.size != n:
         raise SortError(
@@ -137,7 +130,7 @@ def swap_and_merge_pair(machine: "Machine", left: "_Chunk",
         p2p_bytes += (2.0 * pivot * left.value_primary.dtype.itemsize
                       * machine.scale)
     yield env.all_of(done)
-    check()
+    group.check()
 
     # The assembled chunks live in the aux buffers: swap the roles.
     left.flip_buffers()
@@ -157,7 +150,7 @@ def swap_and_merge_pair(machine: "Machine", left: "_Chunk",
                 if right.has_values else None)),
         ]
         yield env.all_of(merges)
-        check()
+        group.check()
     return p2p_bytes
 
 

@@ -7,6 +7,8 @@ subset runs unmarked (CI / tier-1); the full sweep carries the
 ``chaos`` marker.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from repro.faults.events import (
     TransientTransfer,
 )
 from repro.faults.fuzzer import (
+    KEY_KINDS,
     ChaosCase,
     case_for_cluster_seed,
     case_for_seed,
@@ -82,6 +85,33 @@ def test_cluster_chaos_full(seed):
     _check_cluster(seed)
 
 
+#: Fixed seeds replayed with every skewed key distribution.
+SKEWED_SEEDS = (0, 9, 42)
+SKEWED_CLUSTER_SEEDS = (3, 31)
+
+
+def _check_case(case: ChaosCase) -> None:
+    outcome = run_case(case)
+    if outcome.failed:
+        pytest.fail(f"chaos case {outcome.status}: {outcome.detail}\n"
+                    f"{describe_case(shrink(case))}")
+
+
+@pytest.mark.parametrize("keys", KEY_KINDS[1:])
+@pytest.mark.parametrize("supervised", [False, True],
+                         ids=["plain", "supervised"])
+def test_skewed_keys_through_p2p(keys, supervised):
+    for seed in SKEWED_SEEDS:
+        _check_case(replace(case_for_seed(seed), algorithm="p2p",
+                            supervised=supervised, keys=keys))
+
+
+@pytest.mark.parametrize("keys", KEY_KINDS[1:])
+def test_skewed_keys_through_hier(keys):
+    for seed in SKEWED_CLUSTER_SEEDS:
+        _check_case(replace(case_for_cluster_seed(seed), keys=keys))
+
+
 class TestCaseDerivation:
     def test_same_seed_same_case(self):
         assert case_for_seed(13) == case_for_seed(13)
@@ -108,6 +138,17 @@ class TestCaseDerivation:
         kinds = {type(event) for case in cases
                  for event in case.plan.events}
         assert {NodeDown, SwitchDown, LinkFlap} <= kinds
+
+    def test_seeds_draw_uniform_keys(self):
+        assert {case_for_seed(seed).keys for seed in range(30)} == \
+            {"uniform"}
+        assert {case_for_cluster_seed(seed).keys
+                for seed in range(30)} == {"uniform"}
+
+    def test_describe_names_skewed_keys(self):
+        case = replace(case_for_seed(2), keys="zipf")
+        assert "keys=zipf" in describe_case(case)
+        assert "keys=" not in describe_case(case_for_seed(2))
 
     def test_cluster_describe_names_the_fabric(self):
         text = describe_case(case_for_cluster_seed(2))

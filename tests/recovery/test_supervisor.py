@@ -14,6 +14,8 @@ from repro.faults.plan import FaultPlan
 from repro.hw import dgx_a100
 from repro.recovery import SortSupervisor, SupervisorConfig
 from repro.runtime import Machine
+from repro.runtime.buffer import WorkspacePool
+from repro.sort import P2PConfig
 
 N = 32_000
 SCALE = 2.0e9 / N
@@ -172,6 +174,48 @@ class TestDeadline:
             _data(), algorithm="p2p")
         assert not result.deadline_exceeded
         assert np.array_equal(result.output, np.sort(_data()))
+
+
+class TestPrimitive:
+    def test_p2p_config_primitive_reaches_the_local_sorts(self, clean_p2p):
+        slower = SortSupervisor(_machine()).sort(
+            _data(), algorithm="p2p",
+            p2p_config=P2PConfig(primitive="mgpu"))
+        assert np.array_equal(slower.output, np.sort(_data()))
+        assert slower.duration > clean_p2p.duration
+        assert (slower.phase_durations["Sort"]
+                > clean_p2p.phase_durations["Sort"])
+
+
+class TestAbandonedJob:
+    """A job whose event loop died under it closes cleanly."""
+
+    def test_closing_an_abandoned_job_cleans_up(self):
+        machine = _machine()
+        env = machine.env
+        pool = WorkspacePool()
+        supervisor = SortSupervisor(machine, SupervisorConfig(
+            deadline_s=10.0, pool=pool))
+        # Eight GPUs do not divide N + 1 keys: the run borrows a padded
+        # staging array from the pool.
+        data = np.concatenate([_data(), [5]])
+        job = supervisor.sort_async(data, algorithm="p2p")
+        env.process(job)
+
+        def neighbour():
+            yield env.timeout(0.01)
+            raise SortError("a neighbouring process failed")
+
+        env.process(neighbour())
+        with pytest.raises(SortError, match="neighbouring"):
+            env.run()
+        assert pool.borrowed_bytes > 0
+        # The job is suspended mid-phase; closing it must unwind
+        # without yielding and run the driver's cleanup.
+        job.close()
+        assert pool.borrowed_bytes == 0
+        for gpu in range(machine.num_gpus):
+            assert machine.device(gpu).allocated_logical == 0.0
 
 
 class TestErrors:

@@ -2,9 +2,11 @@
 
 ``golden_determinism.json`` was captured (via ``capture_golden.py``)
 from the pre-optimization simulator — the full-rescan allocator with
-per-flow watcher processes — and its ``hier`` cluster entries from the
-hierarchical sort's separate fault-free path.  The incremental engine
-and the single hierarchical-sort path are required to reproduce every
+per-flow watcher processes — its ``hier`` cluster entries from the
+hierarchical sort's separate fault-free path, and its supervised,
+key-value and NUMA-local P2P entries from the P2P sort's separate plain
+and supervised implementations.  The incremental engine and the single
+hierarchical-sort and P2P paths are required to reproduce every
 simulated timestamp *exactly* (plain ``==`` on floats, no tolerance):
 they must be pure reorganizations of the same arithmetic, never
 approximations of it.

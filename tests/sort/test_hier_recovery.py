@@ -17,9 +17,9 @@ from repro.errors import DeadlineExceededError, RecoveryError, SortError
 from repro.faults import FaultPlan
 from repro.faults.events import GpuFail, LinkFlap, NodeDown, SwitchDown
 from repro.faults.policy import ResiliencePolicy
-from repro.hw import make_cluster
+from repro.hw import dgx_a100, make_cluster
 from repro.runtime import Machine
-from repro.sort import HierConfig, hier_sort
+from repro.sort import HierConfig, het_sort, hier_sort, p2p_sort
 
 KEYS = 60_000
 SCALE = 2e9 / KEYS
@@ -218,4 +218,26 @@ class TestResilienceOverrideScope:
         with pytest.raises(SortError):
             hier_sort(machine, _data(),
                       resilience=ResiliencePolicy(max_retries=9))
+        assert machine.resilience is original
+
+    @pytest.mark.parametrize("sort", [p2p_sort, het_sort],
+                             ids=["p2p", "het"])
+    def test_node_sort_override_restored_after_success(self, sort):
+        machine = Machine(dgx_a100(), scale=SCALE, fast_functional=True)
+        original = machine.resilience
+        result = sort(machine, _data(), resilience=ResiliencePolicy(
+            max_retries=9))
+        assert result.output is not None
+        assert machine.resilience is original
+
+    @pytest.mark.parametrize("sort", [p2p_sort, het_sort],
+                             ids=["p2p", "het"])
+    def test_node_sort_override_restored_after_failure(self, sort):
+        machine = Machine(dgx_a100(), scale=SCALE, fast_functional=True)
+        machine.install_faults(FaultPlan(events=tuple(
+            GpuFail(at=0.0, gpu=g) for g in range(8))))
+        original = machine.resilience
+        with pytest.raises(SortError, match="no healthy GPUs"):
+            sort(machine, _data(),
+                 resilience=ResiliencePolicy(max_retries=9))
         assert machine.resilience is original

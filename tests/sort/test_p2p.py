@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from repro.data import generate
 from repro.errors import SortError
+from repro.faults import FaultPlan
+from repro.faults.events import GpuFail
 from repro.hw import dgx_a100, ibm_ac922
 from repro.runtime import Machine
 from repro.sort import P2PConfig, p2p_sort
@@ -177,3 +179,51 @@ class TestGpuOrderEffect:
 
         assert run((0, 1, 2, 3)) == pytest.approx(run((0, 3, 1, 2)),
                                                   rel=1e-6)
+
+
+class TestElasticUnderFaults:
+    """A GPU lost mid-run replans over the survivors' power-of-two
+    prefix instead of failing the sort."""
+
+    N = 20_000
+
+    def _run(self, build, kill_gpu=None, at_fraction=0.5, **kwargs):
+        def machine():
+            return Machine(build(), scale=2e9 / self.N,
+                           fast_functional=True)
+
+        data = generate(self.N, "uniform", np.int32, seed=3)
+        clean = p2p_sort(machine(), data, **kwargs)
+        faulted = machine()
+        faulted.install_faults(FaultPlan(events=(GpuFail(
+            at=at_fraction * clean.duration, gpu=kill_gpu),)))
+        return data, clean, p2p_sort(faulted, data, **kwargs)
+
+    def test_mid_run_gpu_death_replans(self):
+        data, clean, result = self._run(dgx_a100, kill_gpu=3)
+        assert np.array_equal(result.output, np.sort(data))
+        assert result.algorithm == "p2p"
+        assert result.replans == 1
+        assert result.degraded
+        assert result.gpu_ids == (0, 1, 2, 4)
+        assert 3 in result.excluded_gpus
+        assert result.duration > clean.duration
+
+    def test_key_value_records_survive_a_gpu_death(self):
+        values = np.arange(self.N, dtype=np.int64)
+        data, _clean, result = self._run(dgx_a100, kill_gpu=5,
+                                         values=values)
+        assert result.replans == 1
+        assert np.array_equal(result.output, np.sort(data))
+        # Every payload still sits next to its own key.
+        assert np.array_equal(data[result.output_values], result.output)
+        assert np.array_equal(np.sort(result.output_values), values)
+
+    def test_numa_local_placement_survives_a_gpu_death(self):
+        data, clean, result = self._run(
+            ibm_ac922, kill_gpu=2, gpu_ids=(0, 1, 2, 3),
+            config=P2PConfig(input_placement="numa-local"))
+        assert "Redistribute" in clean.phase_durations
+        assert result.replans == 1
+        assert result.gpu_ids == (0, 1)
+        assert np.array_equal(result.output, np.sort(data))
