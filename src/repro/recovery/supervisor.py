@@ -17,11 +17,11 @@ can react to what happened:
   return a typed partial :class:`~repro.sort.result.SortResult` with
   ``deadline_exceeded=True``.
 
-The per-algorithm phase logic lives in the drivers:
-:class:`repro.sort.p2p.P2PRun`, the P2P sort's only execution path
-(:func:`~repro.sort.p2p.p2p_sort` runs it through this same phase loop
-with checkpoint staging and speculation off), and
-:class:`repro.recovery.het_run.HetRun`.
+The per-algorithm phase logic lives in the drivers, each its sort's
+only execution path: :class:`repro.sort.p2p.P2PRun` and
+:class:`repro.sort.het.HetRun`.  :func:`~repro.sort.p2p.p2p_sort` and
+:func:`~repro.sort.het.het_sort` run them through this same phase loop
+(:func:`plain_sort`) with checkpoint staging and speculation off.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from repro.errors import (
 )
 from repro.recovery.checkpoint import PhaseCheckpoint, RecoveryStats
 from repro.recovery.tasks import run_phase
+from repro.faults.policy import ResiliencePolicy
 from repro.runtime.buffer import HostBuffer, WorkspacePool, default_pool
 from repro.runtime.context import Machine
 from repro.sort.gpu_set import surviving_gpu_ids
@@ -144,9 +145,8 @@ class SortSupervisor:
         """Run a supervised sort; returns a :class:`SortResult`.
 
         ``algorithm`` is ``"p2p"`` or ``"het"``.  Extra keyword
-        arguments go to the algorithm driver: ``p2p_config=`` (and
-        ``values=``, since the P2P driver is the one P2P path) or
-        ``het_config=``.  The supervised HET path is keys only.
+        arguments go to the algorithm driver: ``p2p_config=`` or
+        ``het_config=``, and ``values=`` for key-value records.
 
         The supervisor drives the run from the host side: the
         trampoline below replays the generator's yielded events through
@@ -205,7 +205,7 @@ class SortSupervisor:
         stop it), reacts to each phase's single typed error — replan on
         a device or transfer failure, typed partial result on the
         deadline — and returns the :class:`SortResult`.
-        :func:`repro.sort.p2p.p2p_sort` runs the same loop under its own
+        :func:`plain_sort` runs the same loop under its own
         ``result_algorithm`` and ``(name, actor)`` root span.
         """
         machine = self.machine
@@ -221,13 +221,10 @@ class SortSupervisor:
 
         ids = self._initial_ids(algorithm, gpu_ids)
         if algorithm == "p2p":
-            from repro.sort.p2p import P2PRun
-
-            driver = P2PRun(machine, host_in, ids, sup=self, **driver_kwargs)
+            from repro.sort.p2p import P2PRun as run_class
         else:
-            from repro.recovery.het_run import HetRun
-
-            driver = HetRun(self, host_in, ids, **driver_kwargs)
+            from repro.sort.het import HetRun as run_class
+        driver = run_class(machine, host_in, ids, sup=self, **driver_kwargs)
 
         env = machine.env
         start = env.now
@@ -360,6 +357,8 @@ class SortSupervisor:
                      gpu_ids: Optional[Sequence[int]]) -> tuple:
         machine = self.machine
         ids = tuple(gpu_ids) if gpu_ids is not None else None
+        if ids == ():
+            raise SortError("gpu_ids is empty: a sort needs at least one GPU")
         if ids is None:
             if algorithm == "p2p":
                 count = min(machine.num_gpus,
@@ -404,3 +403,31 @@ class SortSupervisor:
             machine.obs.replanned(phase, type(exc).__name__, dead,
                                   survivors, now)
         driver.replan(phase, survivors, exc)
+
+
+def plain_sort(machine: Machine, algorithm: str,
+               data: Union[np.ndarray, HostBuffer],
+               gpu_ids: Optional[Sequence[int]], driver_kwargs: dict,
+               resilience: Optional[ResiliencePolicy],
+               span_name: str) -> SortResult:
+    """Run one sort's driver as the plain ``algorithm`` sort.
+
+    The entry point of :func:`~repro.sort.p2p.p2p_sort` and
+    :func:`~repro.sort.het.het_sort`: the supervisor's phase loop with
+    checkpoint staging and speculation off, reported as ``algorithm``
+    under a ``(span_name, "sort")`` root span.  ``resilience``
+    overrides the machine's policy for this call only (restored on
+    exit, error paths included).
+    """
+    supervisor = SortSupervisor(machine, SupervisorConfig(
+        checkpoint_sorted_chunks=False, checkpoint_merged_chunks=False,
+        speculation=False))
+    saved_policy = machine.resilience
+    if resilience is not None:
+        machine.resilience = resilience
+    try:
+        return machine.run(supervisor.drive(
+            data, algorithm, gpu_ids, driver_kwargs,
+            result_algorithm=algorithm, root_span=(span_name, "sort")))
+    finally:
+        machine.resilience = saved_policy

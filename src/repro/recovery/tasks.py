@@ -20,9 +20,9 @@ one typed error per phase, never a half-torn-down event loop.
 :func:`run_phase` is the one place that decides whether a phase needs
 a group at all: only a fault plan or a deadline can stop a phase
 mid-flight, so without either its tasks run as plain processes under a
-:class:`PlainGroup`.  Every phase of every sort driver (the
-supervisor's P2P and HET drivers, the hierarchical sort) goes through
-it.
+:class:`PlainGroup`.  Every phase of every sort driver (the P2P and
+HET phase drivers, whether run plain or supervised, and the
+hierarchical sort) goes through it.
 """
 
 from __future__ import annotations

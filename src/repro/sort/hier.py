@@ -656,7 +656,7 @@ def _elastic_sort(machine: Machine, spec: ClusterSpec, config: HierConfig,
     g = len(plan_ids[planned_nodes[0]]) if planned_nodes else 0
     phases = {name: value for name, value in
               machine.trace.phase_durations().items()
-              if name in ("HtoD", "Sort", "Merge", "DtoH",
+              if name in ("Redistribute", "HtoD", "Sort", "Merge", "DtoH",
                           "Exchange", "NodeMerge")}
     return SortResult(
         algorithm="hier",

@@ -861,20 +861,11 @@ def p2p_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
     survivors (restarting from ``Partition``), and recovery work
     (replans, retries, re-routes, downtime) is reported on the result.
     """
-    from repro.recovery.supervisor import SortSupervisor, SupervisorConfig
+    from repro.recovery.supervisor import plain_sort
 
     if gpu_ids is not None and len(gpu_ids) & (len(gpu_ids) - 1):
         raise SortError(
             f"P2P sort needs a power-of-two GPU count, got {len(gpu_ids)}")
-    supervisor = SortSupervisor(machine, SupervisorConfig(
-        checkpoint_sorted_chunks=False, checkpoint_merged_chunks=False,
-        speculation=False))
-    saved_policy = machine.resilience
-    if resilience is not None:
-        machine.resilience = resilience
-    try:
-        return machine.run(supervisor.drive(
-            data, "p2p", gpu_ids, {"p2p_config": config, "values": values},
-            result_algorithm="p2p", root_span=("P2PSort", "sort")))
-    finally:
-        machine.resilience = saved_policy
+    return plain_sort(machine, "p2p", data, gpu_ids,
+                      {"p2p_config": config, "values": values},
+                      resilience, "P2PSort")

@@ -164,6 +164,8 @@ def rp_sort(machine: Machine, data: Union[np.ndarray, HostBuffer],
 
     ids = tuple(gpu_ids) if gpu_ids is not None else \
         machine.spec.preferred_gpu_set(machine.num_gpus)
+    if not ids:
+        raise SortError("gpu_ids is empty: a sort needs at least one GPU")
     excluded = ()
     if machine.faults is not None:
         survivors, excluded = surviving_gpu_ids(machine, ids)

@@ -2,8 +2,8 @@
 
 Every sort — plain P2P/HET/RP and the supervised paths — must keep
 working on a single survivor and fail with a clean typed
-:class:`~repro.errors.SortError` when every GPU is gone, instead of
-crashing deep inside the run.
+:class:`~repro.errors.SortError` when every GPU is gone, or when no GPU
+was given at all, instead of crashing deep inside the run.
 """
 
 import numpy as np
@@ -69,3 +69,15 @@ class TestNoSurvivors:
         with pytest.raises(SortError, match="no healthy GPUs"):
             SortSupervisor(_machine(ALL_DOWN)).sort(
                 _data(), algorithm=algorithm)
+
+
+class TestEmptyGpuSet:
+    @pytest.mark.parametrize("algorithm",
+                             sorted(PLAIN_SORTS) + ["supervised"])
+    def test_empty_gpu_ids_fail_typed(self, algorithm):
+        machine = Machine(dgx_a100(), scale=SCALE, fast_functional=True)
+        with pytest.raises(SortError, match="gpu_ids is empty"):
+            if algorithm == "supervised":
+                SortSupervisor(machine).sort(_data(), gpu_ids=[])
+            else:
+                PLAIN_SORTS[algorithm](machine, _data(), gpu_ids=[])

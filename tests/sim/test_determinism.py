@@ -3,10 +3,14 @@
 ``golden_determinism.json`` was captured (via ``capture_golden.py``)
 from the pre-optimization simulator — the full-rescan allocator with
 per-flow watcher processes — its ``hier`` cluster entries from the
-hierarchical sort's separate fault-free path, and its supervised,
+hierarchical sort's separate fault-free path, its supervised,
 key-value and NUMA-local P2P entries from the P2P sort's separate plain
-and supervised implementations.  The incremental engine and the single
-hierarchical-sort and P2P paths are required to reproduce every
+and supervised implementations, and its out-of-core 3n, eager-merge,
+GPU-merged and key-value HET entries from ``het_sort``'s own inline
+pipeline.  ``sup-het-dgx-512b-ooc`` equals ``het-dgx-512b-ooc``: the
+supervised HET sort runs the paper's schedule.  The incremental engine
+and the single hierarchical-sort, P2P and HET paths are required to
+reproduce every
 simulated timestamp *exactly* (plain ``==`` on floats, no tolerance):
 they must be pure reorganizations of the same arithmetic, never
 approximations of it.

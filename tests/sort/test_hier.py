@@ -10,7 +10,7 @@ from repro.faults import FaultPlan
 from repro.faults.events import GpuFail
 from repro.hw import dgx_a100, make_cluster
 from repro.runtime import Machine
-from repro.sort import HierConfig, hier_sort, p2p_sort
+from repro.sort import HierConfig, P2PConfig, hier_sort, p2p_sort
 
 KEYS = 100_000
 
@@ -113,6 +113,22 @@ class TestCorrectness:
         machine = Machine(make_cluster("dgx-a100", 2))
         with pytest.raises(SortError, match="power of two"):
             hier_sort(machine, _data(), config=HierConfig(gpus_per_node=3))
+
+
+class TestInputPlacement:
+    def test_numa_local_placement_reports_its_redistribute(self):
+        data = _data(seed=5)
+
+        def run(placement):
+            machine = Machine(make_cluster("dgx-a100", 2))
+            return hier_sort(machine, data, config=HierConfig(
+                local=P2PConfig(input_placement=placement)))
+
+        node0, local = run("node0"), run("numa-local")
+        assert np.array_equal(local.output, np.sort(data))
+        assert np.array_equal(local.output, node0.output)
+        assert local.phase_durations["Redistribute"] > 0.0
+        assert "Redistribute" not in node0.phase_durations
 
 
 class TestDeterminism:
