@@ -24,7 +24,7 @@ from repro.hw import dgx_a100
 from repro.runtime import Machine
 from repro.sort import het_sort, p2p_sort
 from repro.sort.het import HetConfig
-from tests.sim.capture_golden import CASES
+from tests.sim.capture_golden import CASES, SORTS
 
 GOLDEN_PATH = Path(__file__).parent.parent / "sim" / "golden_determinism.json"
 
@@ -48,13 +48,15 @@ def golden():
         return json.load(handle)
 
 
-@pytest.mark.parametrize("case", ["p2p-dgx-2b", "het-dgx-2b"])
+@pytest.mark.parametrize("case", [
+    "p2p-dgx-2b", "het-dgx-2b", "het-3n-dgx-512b-ooc",
+    "het-eager-dgx-512b-ooc", "het-gpu-merge-dgx-512b-ooc",
+    "het-kv-dgx-512b-ooc"])
 def test_empty_fault_plan_keeps_runs_bit_identical(case, golden):
     algorithm, physical, billions = CASES[case]
     machine = _machine(physical, billions)
     machine.install_faults(FaultPlan.empty())
-    sort = p2p_sort if algorithm == "p2p" else het_sort
-    result = sort(machine, _data(physical))
+    result = SORTS[algorithm](machine, _data(physical))
     expected = golden[case]
     assert result.duration == expected["duration"]
     assert result.phase_durations == expected["phases"]
