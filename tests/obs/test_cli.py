@@ -164,3 +164,33 @@ class TestArgs:
     def test_command_required(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestKills:
+    """``--kill-at`` is simulated seconds; a kill the run never reached
+    must not pass for a clean run."""
+
+    def test_kill_node_after_the_run_ended_is_refused(self, capsys):
+        # The quick 4-node sort ends at ~0.18 s, before the 0.5 s default.
+        assert main(["links", "--quick", "--nodes", "4",
+                     "--kill-node", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "--kill-node 1 never fired" in err
+        assert "--kill-at 0.5 s" in err
+        assert "the run ended at 0.18" in err
+
+    def test_kill_gpu_after_the_run_ended_is_refused(self, capsys):
+        assert main(["summary", "--quick", "--algorithm", "p2p",
+                     "--kill-gpu", "3"]) == 1
+        err = capsys.readouterr().err
+        assert "--kill-gpu 3 never fired" in err
+        assert "--kill-at 0.5 s" in err
+
+    def test_kill_node_mid_run_replans_under_the_flight_recorder(
+            self, capsys):
+        assert main(["summary", "--quick", "--nodes", "4",
+                     "--kill-node", "1", "--kill-at", "0.08",
+                     "--flight-recorder"]) == 0
+        captured = capsys.readouterr()
+        assert "Replan" in captured.out
+        assert "never fired" not in captured.err
